@@ -5,15 +5,51 @@
 //! or kitchen-sink faulted — produces the same `ChaosRun` for every
 //! worker count.
 //!
+//! Engine outputs that are otherwise only compared with each other (a
+//! lossy storm, the kitchen-sink chaos run, the relay-scan series) are
+//! also pinned to frozen golden digests, so an oracle outlives any serial
+//! twin and any scheduler rewrite that reorders events.
+//!
 //! Unit-level equivalence (per-report field equality, per-stage shard
 //! alignment) lives next to each stage; this file is the integration
 //! surface the CI `scan-bench` job runs.
 
+use std::net::IpAddr;
+
 use tectonic::chaos::{run_pipeline, ChaosConfig, ChaosRun};
-use tectonic::core::masque_load::{run_engine, run_serial, PerfectChannel, StormConfig};
+use tectonic::core::masque_load::{
+    run_engine, run_serial, DatagramChannel, PerfectChannel, StormConfig,
+};
+use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::engine::EngineConfig;
-use tectonic::relay::{Deployment, DeploymentConfig};
+use tectonic::geo::country::CountryCode;
+use tectonic::net::{Epoch, SimTime};
+use tectonic::relay::{Deployment, DeploymentConfig, DnsMode};
 use tectonic::simnet::scenarios;
+
+/// 64-bit FNV-1a over `parts`, each part NUL-terminated.
+fn fnv1a<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for part in parts {
+        for &b in part.iter().chain([&0]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x1_0000_01B3);
+        }
+    }
+    h
+}
+
+/// [`fnv1a`] over strings, as 16 hex digits.
+fn digest<'a>(parts: impl IntoIterator<Item = &'a str>) -> String {
+    format!("{:016x}", fnv1a(parts.into_iter().map(str::as_bytes)))
+}
+
+/// Digest of everything a [`ChaosRun`] carries.
+fn run_digest(run: &ChaosRun) -> String {
+    let metrics = format!("{:?}", run.metrics);
+    let stats = format!("{:?}", run.stats);
+    let atlas = format!("{:?}", run.atlas_a_stats);
+    digest([run.artifacts.as_str(), &metrics, &stats, &atlas])
+}
 
 /// Reduced sizing so the full pipeline stays affordable per run: the
 /// matrix here executes it several times.
@@ -68,7 +104,103 @@ fn kitchen_sink_engine_run_is_worker_invariant() {
         .map(|s| s.all_dropped() + s.undecodable() + s.rcode_rewritten)
         .sum();
     assert!(injected > 0, "kitchen-sink run injected nothing");
+    assert_eq!(
+        run_digest(&base),
+        KITCHEN_SINK_DIGEST,
+        "kitchen-sink engine run moved off its frozen digest"
+    );
 }
+
+/// Frozen digest of the seed-7 kitchen-sink engine run (8 shards).
+const KITCHEN_SINK_DIGEST: &str = "a986a573e6aec72d";
+
+/// A channel that drops about 1 % of datagrams and flips one trailing bit
+/// in another 1 %. The verdict is a pure function of `(src, now, bytes)`,
+/// so it does not depend on the order shards call it in.
+struct LossyTestChannel;
+
+impl DatagramChannel for LossyTestChannel {
+    fn transfer(&self, _shard: usize, src: IpAddr, now: SimTime, wire: &[u8]) -> Option<Vec<u8>> {
+        let addr = match src {
+            IpAddr::V4(a) => a.octets().to_vec(),
+            IpAddr::V6(a) => a.octets().to_vec(),
+        };
+        let h = fnv1a([addr.as_slice(), &now.as_millis().to_be_bytes(), wire]);
+        let h = h ^ (h >> 29);
+        let mut out = wire.to_vec();
+        match h % 100 {
+            0 => return None,
+            1 => {
+                if let Some(last) = out.last_mut() {
+                    *last ^= 1 << ((h >> 8) % 8);
+                }
+            }
+            _ => {}
+        }
+        Some(out)
+    }
+}
+
+/// A lossy CONNECT-UDP storm through the engine at one and four workers
+/// reproduces its frozen digest: drops, detected corruption, replies and
+/// every per-session counter are pinned, not just compared across worker
+/// counts.
+#[test]
+fn lossy_storm_matches_frozen_digest() {
+    let deployment = Deployment::build(13, DeploymentConfig::scaled(2048));
+    let cfg = StormConfig::sized(96, 3, 41);
+    for workers in [1, 4] {
+        let report = run_engine(&deployment, &cfg, &LossyTestChannel, workers);
+        assert!(report.session_drops > 0, "the channel damaged nothing");
+        assert!(report.datagrams_forwarded < report.datagrams_sent);
+        let json = serde_json::to_string(&report).expect("serialise storm report");
+        assert_eq!(
+            digest([json.as_str()]),
+            LOSSY_STORM_DIGEST,
+            "{workers} workers: lossy storm moved off its frozen digest"
+        );
+    }
+}
+
+/// Frozen digest of the lossy storm above.
+const LOSSY_STORM_DIGEST: &str = "fa67fa62e4d9c8b2";
+
+/// The relay-scan series through the engine (operator and rotation
+/// schedules, several shard/worker geometries) reproduces its frozen
+/// digests.
+#[test]
+fn relay_scan_engine_series_match_frozen_digests() {
+    let d = Deployment::build(66, DeploymentConfig::scaled(512));
+    let auth = d.auth_server_unlimited();
+    let schedules = [
+        (RelayScanConfig::operator_series(), RELAY_OPERATOR_DIGEST),
+        (RelayScanConfig::rotation_series(), RELAY_ROTATION_DIGEST),
+    ];
+    for (config, golden) in schedules {
+        for (shards, workers) in [(6, 1), (6, 3)] {
+            let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
+            let series = RelayScanSeries::run_engine(
+                &device,
+                &[&auth],
+                &config,
+                Epoch::May2022.start(),
+                0,
+                &EngineConfig::new(shards, workers),
+            );
+            let json = serde_json::to_string(&series).expect("serialise relay series");
+            assert_eq!(
+                digest([json.as_str()]),
+                golden,
+                "{} rounds, {shards} shards, {workers} workers: relay series moved off its frozen digest",
+                config.rounds()
+            );
+        }
+    }
+}
+
+/// Frozen digests of the relay-scan engine series above.
+const RELAY_OPERATOR_DIGEST: &str = "b606f389c9a942d9";
+const RELAY_ROTATION_DIGEST: &str = "1ed5c16d45d29925";
 
 /// The session layer's own equivalence surface, below the chaos pipeline:
 /// a CONNECT-UDP storm driven serially and through the engine at one and
