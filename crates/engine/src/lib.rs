@@ -13,7 +13,7 @@
 //!
 //! The scheduler lives in [`sched`]; the key pieces are:
 //!
-//! * [`sched::Engine`] — per-shard priority queues keyed by
+//! * [`sched::Engine`] — per-shard calendar queues keyed by
 //!   `(SimTime, shard, seq)`, drained in conservative lookahead windows.
 //! * [`sched::ShardModel`] — the per-shard state machine a pipeline
 //!   implements: `handle` one event, `finish` into a local result arena.

@@ -42,13 +42,33 @@ use std::process::ExitCode;
 
 use lintkit::{analyze_workspace, baseline, manifest, sarif, Config};
 
-fn workspace_root() -> PathBuf {
-    // xtask lives at <root>/crates/xtask; CARGO_MANIFEST_DIR is compiled in,
-    // so the binary finds the root regardless of the invocation directory.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
+/// The workspace root, resolved at run time from the current directory
+/// (see [`find_root`]). The compile-time manifest path is never used: a
+/// cached binary run inside a copy of the repository must read and write
+/// that copy, not the tree it was built in.
+fn workspace_root() -> Result<PathBuf, String> {
+    let cwd = env::current_dir().map_err(|e| format!("reading the current directory: {e}"))?;
+    find_root(&cwd).ok_or_else(|| {
+        format!(
+            "no workspace root (a Cargo.toml declaring [workspace] next to crates/xtask) at or above {}",
+            cwd.display()
+        )
+    })
+}
+
+/// The nearest ancestor of `start` (itself included) whose `Cargo.toml`
+/// declares `[workspace]` and which holds this driver's crate. The second
+/// condition skips the benchmark package under `perfbench/`, which
+/// declares a workspace of its own.
+fn find_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            dir.join("crates/xtask/Cargo.toml").is_file()
+                && fs::read_to_string(dir.join("Cargo.toml"))
+                    .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Parsed `lint` options.
@@ -306,7 +326,13 @@ const MASQUE_STORM_SESSIONS: [(&str, f64); 2] = [("small", 256.0), ("large", 4_8
 /// suite appends `sessions_per_sec_*` throughput rows plus the
 /// serial/engine speedup per storm size.
 fn bench_report(args: &[String]) -> ExitCode {
-    let root = workspace_root();
+    let root = match workspace_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("xtask: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut out_path: Option<PathBuf> = None;
     let mut suite = "lpm".to_string();
     let mut i = 0;
@@ -569,7 +595,13 @@ fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 fn lint(opts: &LintOpts) -> ExitCode {
-    let root = workspace_root();
+    let root = match workspace_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("xtask: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let vendor = root.join("vendor");
     if opts.update_manifest {
         let text = match manifest::generate(&vendor) {
@@ -683,4 +715,57 @@ fn lint(opts: &LintOpts) -> ExitCode {
         outcome.stale.len()
     );
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Lays out the root markers of a repository copy under a fresh temp
+    /// directory: the workspace manifest, this driver's manifest, and the
+    /// benchmark package with its own `[workspace]`.
+    fn temp_copy(name: &str) -> PathBuf {
+        let root = env::temp_dir().join(format!("xtask-root-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for dir in ["crates/xtask/src", "perfbench/src"] {
+            fs::create_dir_all(root.join(dir)).expect("create temp tree");
+        }
+        let files = [
+            ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+            ("crates/xtask/Cargo.toml", "[package]\nname = \"xtask\"\n"),
+            (
+                "perfbench/Cargo.toml",
+                "[package]\nname = \"perfbench\"\n\n[workspace]\n",
+            ),
+        ];
+        for (path, text) in files {
+            fs::write(root.join(path), text).expect("write temp manifest");
+        }
+        root
+    }
+
+    #[test]
+    fn root_resolves_inside_a_copy_of_the_repository() {
+        let copy = temp_copy("copy");
+        for start in ["", "crates/xtask/src", "perfbench/src"] {
+            assert_eq!(
+                find_root(&copy.join(start)).as_deref(),
+                Some(copy.as_path()),
+                "start {start:?}"
+            );
+        }
+        // Never the tree the binary was compiled in.
+        let built_in = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_ne!(find_root(&copy), built_in.canonicalize().ok());
+        let _ = fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn no_root_outside_a_workspace() {
+        let copy = temp_copy("bare");
+        fs::write(copy.join("Cargo.toml"), "[package]\nname = \"bare\"\n").expect("rewrite");
+        // The temp copy is no workspace; nothing above it is one either.
+        assert_eq!(find_root(&copy.join("crates/xtask/src")), None);
+        let _ = fs::remove_dir_all(&copy);
+    }
 }
