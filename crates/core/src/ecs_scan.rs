@@ -137,8 +137,8 @@ pub struct EcsScanReport {
     pub decode_errors: u64,
     /// Simulated wall-clock duration of the scan.
     ///
-    /// For merged reports ([`EcsScanner::scan_parallel`],
-    /// [`EcsScanner::scan_engine`]) this is the **slowest worker's**
+    /// For merged reports ([`EcsScanner::scan_engine`]) this is the
+    /// **slowest worker's**
     /// duration: shards run concurrently over the same simulated window, so
     /// the scan is finished when the last shard is. All other fields merge
     /// as unions (sets) or sums (counters), which makes `duration` the one
@@ -534,7 +534,6 @@ impl EcsScanner {
         let mut answers = BTreeSet::new();
         let mut queries = 0u64;
         let mut query_id = 0u16;
-        let mut report_stub = EcsScanReport::empty(domain.clone());
         for subnet in sample_subnets {
             query_id = query_id.wrapping_add(1);
             let mut query = Message::query(query_id, domain.clone(), QType::AAAA);
@@ -554,8 +553,6 @@ impl EcsScanner {
                 }
             }
         }
-        let _ = report_stub.queries_sent;
-        report_stub.queries_sent = queries;
         V6FeasibilityReport {
             queries,
             distinct_scopes: scopes.iter().copied().collect(),
@@ -576,57 +573,9 @@ impl EcsScanner {
             .unwrap_or(base)
     }
 
-    /// Runs the scan sharded across `workers` source addresses using
-    /// scoped threads (the legacy parallel-scan ablation — superseded by
-    /// [`EcsScanner::scan_engine`]). Each worker gets its own source
-    /// address (`source + k`, checked) and clock; the merged report's
-    /// `duration` is the slowest worker's.
-    ///
-    /// Subnets are dealt round-robin, so a scope discovered by one worker
-    /// is invisible to the others: scope honouring degrades to per-worker
-    /// (still correct, just fewer skips). The engine scan fixes this by
-    /// aligning shards with announcement boundaries and routing scope
-    /// announcements as events.
-    pub fn scan_parallel(
-        &self,
-        domain: DomainName,
-        auth: &(dyn NameServer + Sync),
-        rib: &Rib,
-        start: SimTime,
-        workers: usize,
-    ) -> EcsScanReport {
-        let workers = workers.max(1);
-        let subnets = self.candidate_subnets(rib);
-        let shards: Vec<Vec<Ipv4Net>> = (0..workers)
-            .map(|w| subnets.iter().skip(w).step_by(workers).copied().collect())
-            .collect();
-        let reports: Vec<EcsScanReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(w, shard)| {
-                    let mut config = self.config.clone();
-                    config.source = EcsScanner::shard_source(config.source, w);
-                    let domain = domain.clone();
-                    scope.spawn(move || {
-                        let scanner = EcsScanner::new(config);
-                        let mut clock = SimClock::new(start);
-                        scanner.scan_subnets(domain, shard, auth, rib, &mut clock)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lintkit: allow(no-panic) -- join fails only if a worker panicked; nothing to recover
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        });
-        EcsScanReport::merged(domain, reports)
-    }
-
     /// Scans an explicit subnet list.
     ///
-    /// Used by the parallel workers, and by benchmarks that need a
+    /// Used by [`EcsScanner::scan`], and by benchmarks that need a
     /// fixed-size scan kernel independent of the deployment scale.
     pub fn scan_subnets(
         &self,
@@ -732,25 +681,6 @@ impl EcsScanner {
         let subnets = self.candidate_subnets(rib);
         let prefixes = EcsScanner::top_level_prefixes(rib);
         self.run_engine_scan(domain, &subnets, &prefixes, servers, rib, start, engine)
-    }
-
-    /// Engine scan over an explicit subnet list (benchmarks, targeted
-    /// sweeps). With no announcement structure to align shards to, the
-    /// list is cut into plain contiguous slices; scopes that cross a cut
-    /// travel as events, so skipping is deterministic for a fixed shard
-    /// count but — unlike [`EcsScanner::scan_engine`] — may differ from
-    /// the serial scan's (an in-flight shard can query a subnet before a
-    /// sibling's scope announcement arrives).
-    pub fn scan_subnets_engine(
-        &self,
-        domain: DomainName,
-        subnets: &[Ipv4Net],
-        servers: &[&(dyn NameServer + Sync)],
-        rib: &Rib,
-        start: SimTime,
-        engine: &EngineConfig,
-    ) -> EcsScanReport {
-        self.run_engine_scan(domain, subnets, &[], servers, rib, start, engine)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1269,37 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_list_engine_propagates_scopes_deterministically() {
-        let d = deployment();
-        let auth = d.auth_server_unlimited();
-        let scanner = EcsScanner::default();
-        let subnets = scanner.candidate_subnets(&d.rib);
-        let run = |workers: usize| {
-            scanner.scan_subnets_engine(
-                Domain::MaskQuic.name(),
-                &subnets,
-                &[&auth],
-                &d.rib,
-                Epoch::Apr2022.start(),
-                &EngineConfig::new(8, workers),
-            )
-        };
-        let w1 = run(1);
-        let w4 = run(4);
-        // Unaligned cuts: serial equality is not promised, determinism is.
-        assert_eq!(w1, w4);
-        // Scope events do land: local skipping plus announcements still
-        // suppress a meaningful share of queries.
-        assert!(w1.skipped_by_scope > 0);
-        let serial_run = {
-            let mut clock = SimClock::new(Epoch::Apr2022.start());
-            scanner.scan_subnets(Domain::MaskQuic.name(), &subnets, &auth, &d.rib, &mut clock)
-        };
-        assert_eq!(w1.discovered, serial_run.discovered);
-        assert_eq!(w1.by_ingress_as, serial_run.by_ingress_as);
-    }
-
-    #[test]
     fn shard_segments_align_with_prefix_boundaries() {
         let d = deployment();
         let scanner = EcsScanner::default();
@@ -1360,24 +1259,6 @@ mod tests {
             EcsScanner::shard_source(low, 255),
             Ipv4Addr::new(138, 246, 254, 9)
         );
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let d = deployment();
-        let auth = d.auth_server_unlimited();
-        let scanner = EcsScanner::default();
-        let mut clock = SimClock::new(Epoch::Apr2022.start());
-        let seq = scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock);
-        let par = scanner.scan_parallel(
-            Domain::MaskQuic.name(),
-            &auth,
-            &d.rib,
-            Epoch::Apr2022.start(),
-            4,
-        );
-        assert_eq!(par.discovered, seq.discovered);
-        assert_eq!(par.by_ingress_as, seq.by_ingress_as);
     }
 }
 
