@@ -12,10 +12,11 @@
 //! mirroring the vendor-manifest flow. `--json <path>` writes the full
 //! findings report in the same schema (plus messages) for CI artifacts.
 //!
-//! lintkit is dependency-free, so the JSON writer and the (schema-specific
-//! but escape-correct) parser are hand-rolled here.
+//! Both documents are built as a `serde_json::Value` and printed by the
+//! vendored shim's pretty printer; the parser is the shim's too, with the
+//! baseline schema checked on top.
 
-use std::fmt::Write as _;
+use serde_json::Value;
 
 use crate::rules::{Finding, Rule};
 
@@ -83,301 +84,100 @@ pub fn generate(findings: &[Finding]) -> String {
         .collect();
     entries.sort();
     entries.dedup();
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{ \"rule\": {}, \"file\": {}, \"line\": {} }}",
-            json_string(&e.rule),
-            json_string(&e.file),
-            e.line
-        );
-    }
-    if entries.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+    let items = entries
+        .iter()
+        .map(|e| {
+            object([
+                ("rule", string(&e.rule)),
+                ("file", string(&e.file)),
+                ("line", Value::Number(f64::from(e.line))),
+            ])
+        })
+        .collect();
+    pretty(&document(items))
 }
 
 /// Renders the full findings report (baseline schema plus messages) for
 /// the CI artifact.
 pub fn report_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{ \"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {} }}",
-            json_string(f.rule.name()),
-            json_string(&f.file),
-            f.line,
-            json_string(&f.message)
-        );
-    }
-    if findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+    let items = findings
+        .iter()
+        .map(|f| {
+            object([
+                ("rule", string(f.rule.name())),
+                ("file", string(&f.file)),
+                ("line", Value::Number(f64::from(f.line))),
+                ("message", string(&f.message)),
+            ])
+        })
+        .collect();
+    pretty(&document(items))
+}
+
+/// The versioned envelope both the baseline and the report share.
+fn document(findings: Vec<Value>) -> Value {
+    object([
+        ("version", Value::Number(1.0)),
+        ("findings", Value::Array(findings)),
+    ])
 }
 
 /// Parses a baseline file. Unknown keys are ignored; entries naming a rule
 /// lintkit no longer defines are rejected so the baseline cannot rot.
 pub fn parse(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let value = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    }
-    .parse()?;
-    let Json::Object(top) = value else {
-        return Err("baseline: top level must be an object".to_string());
-    };
-    let Some(Json::Array(items)) = top.iter().find(|(k, _)| k == "findings").map(|(_, v)| v) else {
+    let doc: Value = serde_json::from_str(text).map_err(|e| format!("baseline: {e}"))?;
+    let Some(items) = doc.get("findings").and_then(Value::as_array) else {
         return Err("baseline: missing `findings` array".to_string());
     };
-    let mut entries = Vec::new();
-    for item in items {
-        let Json::Object(fields) = item else {
-            return Err("baseline: each finding must be an object".to_string());
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let Some(Json::String(rule)) = get("rule") else {
-            return Err("baseline: finding missing string `rule`".to_string());
-        };
-        let Some(Json::String(file)) = get("file") else {
-            return Err("baseline: finding missing string `file`".to_string());
-        };
-        let Some(Json::Number(line)) = get("line") else {
-            return Err("baseline: finding missing numeric `line`".to_string());
-        };
-        if Rule::from_name(rule).is_none() {
-            return Err(format!("baseline: unknown rule `{rule}`"));
-        }
-        entries.push(BaselineEntry {
-            rule: rule.clone(),
-            file: file.clone(),
-            line: *line as u32,
-        });
-    }
-    Ok(entries)
+    items.iter().map(parse_entry).collect()
 }
 
-/// JSON string literal with full escaping — shared with the SARIF writer.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Checks one `findings` item against the baseline schema.
+fn parse_entry(item: &Value) -> Result<BaselineEntry, String> {
+    let rule = item
+        .get("rule")
+        .and_then(Value::as_str)
+        .ok_or("baseline: finding missing string `rule`")?;
+    let file = item
+        .get("file")
+        .and_then(Value::as_str)
+        .ok_or("baseline: finding missing string `file`")?;
+    let line = item
+        .get("line")
+        .and_then(Value::as_u64)
+        .and_then(|l| u32::try_from(l).ok())
+        .ok_or("baseline: finding missing integer `line`")?;
+    if Rule::from_name(rule).is_none() {
+        return Err(format!("baseline: unknown rule `{rule}`"));
     }
-    out.push('"');
-    out
+    Ok(BaselineEntry {
+        rule: rule.to_string(),
+        file: file.to_string(),
+        line,
+    })
 }
 
-/// Parses JSON text in the supported subset — shared with the incremental
-/// cache's loader ([`crate::cache`]).
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    }
-    .parse()
+/// A JSON string value.
+pub(crate) fn string(s: &str) -> Value {
+    Value::String(s.to_string())
 }
 
-/// The JSON subset the baseline schema needs.
-#[derive(Debug)]
-pub(crate) enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(f64),
-    /// `true`/`false`/`null` — valid JSON the schema ignores, so the
-    /// parser does not keep the value.
-    Scalar,
+/// A JSON object with `fields` in the given order.
+pub(crate) fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("baseline: trailing data at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    // Named `eat`, not `expect`, so the no-panic token rule (which flags
-    // any `.expect(` call) stays simple.
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "baseline: expected `{}` at byte {}",
-                b as char, self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Object(fields));
-                        }
-                        _ => return Err(format!("baseline: bad object at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Array(items));
-                        }
-                        _ => return Err(format!("baseline: bad array at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(Json::Scalar)
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(Json::Scalar)
-            }
-            Some(b'n') if self.bytes[self.pos..].starts_with(b"null") => {
-                self.pos += 4;
-                Ok(Json::Scalar)
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.bytes.get(self.pos),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "baseline: bad number".to_string())?;
-                text.parse::<f64>()
-                    .map(Json::Number)
-                    .map_err(|_| format!("baseline: bad number `{text}`"))
-            }
-            _ => Err(format!("baseline: unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("baseline: bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("baseline: bad escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "baseline: invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("baseline: bad string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("baseline: unterminated string".to_string()),
-            }
-        }
-    }
+/// The shim's pretty printer plus a final newline — how every lint
+/// report and the baseline file are written.
+pub(crate) fn pretty(doc: &Value) -> String {
+    let mut text = serde_json::to_string_pretty(doc).unwrap_or_default();
+    text.push('\n');
+    text
 }
 
 #[cfg(test)]
@@ -456,10 +256,15 @@ mod tests {
 
     #[test]
     fn report_json_escapes_messages() {
-        let text = report_json(&[finding(Rule::NoPanic, "a.rs", 1)]);
-        assert!(text.contains("\\\"quotes\\\""));
-        assert!(text.contains("\\\\slash"));
-        // And stays parseable by our own parser (message key ignored).
+        let tricky = "say \"hi\" \\ then\nnext \u{1} end";
+        let mut f = finding(Rule::NoPanic, "a.rs", 1);
+        f.message = tricky.to_string();
+        let text = report_json(&[f]);
+        assert!(text.contains("\\\"hi\\\""));
+        assert!(text.contains("\\\\ then\\nnext \\u0001 end"));
+        let doc: Value = serde_json::from_str(&text).expect("report is valid JSON");
+        assert_eq!(doc["findings"][0]["message"], tricky);
+        // The report also reads back as a baseline (message key ignored).
         let entries = parse(&text).expect("report parses as baseline schema");
         assert_eq!(entries.len(), 1);
     }
@@ -470,8 +275,14 @@ mod tests {
             "",
             "{",
             "[1,2",
+            "[]",
             "{\"findings\": 3}",
+            "{\"findings\":[3]}",
             "{\"findings\":[{\"rule\":3}]}",
+            "{\"findings\":[{\"rule\":\"no-panic\",\"line\":1}]}",
+            "{\"findings\":[{\"rule\":\"no-panic\",\"file\":\"a\",\"line\":\"1\"}]}",
+            "{\"findings\":[{\"rule\":\"no-panic\",\"file\":\"a\",\"line\":-1}]}",
+            "{\"findings\":[]} trailing",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

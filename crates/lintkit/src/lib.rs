@@ -49,28 +49,24 @@
 //!   boundaries carved out via [`Config::warm_paths`] ([`resource`]).
 //!
 //! The per-file pass is parallel (`std::thread::scope` over disjoint output
-//! slots, merged in deterministic order) and incremental: an on-disk cache
-//! ([`cache`], `target/lintkit-cache.json`) keyed by file content hash and a
-//! rule-set/config fingerprint lets warm runs skip re-analyzing unchanged
-//! files while provably emitting byte-identical findings. Symbol collection
-//! still runs on every file so the interprocedural pass never sees stale
-//! graphs.
+//! slots, merged in deterministic order), so findings do not depend on
+//! scheduling.
 //!
 //! Accepted findings live in the `lint-baseline.json` ratchet ([`baseline`]):
 //! new findings fail, and so do stale baseline entries, so the debt only
 //! burns down. `--json` and `--sarif` ([`sarif`]) export the findings for
-//! CI artifacts and code-hosting annotation UIs.
+//! CI artifacts and code-hosting annotation UIs; every JSON document is
+//! read and written through the vendored `serde_json` shim.
 //!
-//! Built without external dependencies (no crates.io access in the build
-//! environment, so no `syn`): the lexer in [`lexer`] provides just enough
-//! structure. Run via `cargo run -p xtask -- lint`; the same pass also runs
-//! as a tier-1 test (`tests/workspace_gate.rs`) and in CI.
+//! There is no `syn` (no crates.io access in the build environment): the
+//! lexer in [`lexer`] provides just enough structure. Run via
+//! `cargo run -p xtask -- lint`; the same pass also runs as a tier-1 test
+//! (`tests/workspace_gate.rs`) and in CI.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod manifest;
@@ -84,7 +80,6 @@ pub mod symbols;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 pub use rules::{check_file, FileContext, Finding, Rule};
 
@@ -123,9 +118,6 @@ pub struct Config {
     /// add false edges. Binary targets are excluded for the same reason —
     /// a `[[bin]]` cannot be linked into a library call path.
     pub graph_skip_crates: Vec<String>,
-    /// Where the incremental per-file cache lives; `None` disables caching
-    /// (fixture workspaces, hermetic tests).
-    pub cache: Option<PathBuf>,
 }
 
 impl Config {
@@ -259,26 +251,8 @@ impl Config {
                 "dns::message::query".to_string(),
             ],
             graph_skip_crates: vec!["lintkit".to_string()],
-            cache: Some(root.join("target").join("lintkit-cache.json")),
         }
     }
-}
-
-/// Wall-time and cache-effectiveness counters for one workspace pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassStats {
-    /// Files visited by the per-file pass.
-    pub files: usize,
-    /// Files whose findings were served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that ran the full per-file rule set.
-    pub cache_misses: usize,
-    /// Wall time of the parallel per-file pass (lex + rules + symbols).
-    pub file_pass_ns: u128,
-    /// Wall time of the interprocedural graph pass.
-    pub graph_ns: u128,
-    /// End-to-end wall time of `analyze_workspace`.
-    pub total_ns: u128,
 }
 
 /// The full result of one workspace pass: the findings plus the call graph
@@ -290,8 +264,6 @@ pub struct Analysis {
     pub graph: graph::CallGraph,
     /// Resolved entry-point function indices into `graph.funcs`.
     pub entries: Vec<usize>,
-    /// Timing and cache counters for this pass.
-    pub stats: PassStats,
 }
 
 /// One file the per-file pass must visit, in deterministic walk order.
@@ -309,8 +281,6 @@ struct FileTask {
 struct FileOutcome {
     findings: Vec<Finding>,
     symbols: Option<symbols::FileSymbols>,
-    hash: u64,
-    cache_hit: bool,
 }
 
 /// Lints the whole workspace: every crate under `crates/*/src`, the root
@@ -320,59 +290,13 @@ pub fn lint_workspace(config: &Config) -> io::Result<Vec<Finding>> {
     Ok(analyze_workspace(config)?.findings)
 }
 
-/// [`lint_workspace`], but also returning the call graph and pass stats.
-// Wall-clock is the measurement here, as in the criterion shim: the pass
-// stats time the analyzer itself, which runs outside any simulation.
-#[allow(clippy::disallowed_methods)]
+/// [`lint_workspace`], but also returning the call graph.
 pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
-    let t_start = Instant::now();
     let tasks = collect_tasks(config)?;
-
-    // Only the facets `check_file` consults go into the fingerprint: a
-    // changed entry-point list affects graph findings, which are recomputed
-    // every run anyway, so it must not cold-start the per-file cache.
-    let fingerprint = cache::fingerprint(&[&config.strict_index, &config.strict_arith]);
-    let prior = match &config.cache {
-        Some(path) => {
-            let loaded = cache::load(path);
-            if loaded.fingerprint == fingerprint {
-                loaded
-            } else {
-                cache::CacheFile::default()
-            }
-        }
-        None => cache::CacheFile::default(),
-    };
-
-    let t_files = Instant::now();
-    let outcomes = run_file_pass(&tasks, &prior);
-    let file_pass_ns = t_files.elapsed().as_nanos();
-
     let mut findings = Vec::new();
     let mut file_symbols = Vec::new();
-    let mut next = cache::CacheFile {
-        fingerprint,
-        files: std::collections::BTreeMap::new(),
-    };
-    let mut stats = PassStats {
-        files: tasks.len(),
-        file_pass_ns,
-        ..PassStats::default()
-    };
-    for (task, outcome) in tasks.iter().zip(outcomes) {
+    for outcome in run_file_pass(&tasks) {
         let outcome = outcome?;
-        if outcome.cache_hit {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
-        }
-        next.files.insert(
-            task.rel.clone(),
-            cache::CacheEntry {
-                hash: outcome.hash,
-                findings: outcome.findings.clone(),
-            },
-        );
         findings.extend(outcome.findings);
         file_symbols.extend(outcome.symbols);
     }
@@ -384,7 +308,6 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
     }
 
     // The interprocedural pass.
-    let t_graph = Instant::now();
     let graph = graph::CallGraph::build(file_symbols);
     findings.extend(reach::check_graph(
         &graph,
@@ -392,7 +315,6 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
         &config.hot_paths,
         &config.warm_paths,
     ));
-    stats.graph_ns = t_graph.elapsed().as_nanos();
 
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     let entries = config
@@ -400,15 +322,10 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
         .iter()
         .flat_map(|p| graph.resolve_entry(p))
         .collect();
-    if let Some(path) = &config.cache {
-        cache::store(path, &next);
-    }
-    stats.total_ns = t_start.elapsed().as_nanos();
     Ok(Analysis {
         findings,
         graph,
         entries,
-        stats,
     })
 }
 
@@ -416,7 +333,7 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
 /// task. Workers own disjoint chunks of the slot array, so output order is
 /// the task order regardless of scheduling — determinism costs nothing
 /// here because no worker ever contends with another.
-fn run_file_pass(tasks: &[FileTask], prior: &cache::CacheFile) -> Vec<io::Result<FileOutcome>> {
+fn run_file_pass(tasks: &[FileTask]) -> Vec<io::Result<FileOutcome>> {
     let mut slots: Vec<Option<io::Result<FileOutcome>>> = Vec::new();
     slots.resize_with(tasks.len(), || None);
     if tasks.is_empty() {
@@ -432,7 +349,7 @@ fn run_file_pass(tasks: &[FileTask], prior: &cache::CacheFile) -> Vec<io::Result
         for (task_chunk, slot_chunk) in tasks.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             s.spawn(move || {
                 for (task, slot) in task_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(run_one_file(task, prior));
+                    *slot = Some(run_one_file(task));
                 }
             });
         }
@@ -441,30 +358,14 @@ fn run_file_pass(tasks: &[FileTask], prior: &cache::CacheFile) -> Vec<io::Result
     slots.into_iter().flatten().collect()
 }
 
-/// Lints one file, serving per-file findings from the cache when the
-/// content hash matches. Symbols are re-collected unconditionally — the
-/// call graph must reflect the workspace as it is now, and collection is
-/// cheap next to the rule pass.
-fn run_one_file(task: &FileTask, prior: &cache::CacheFile) -> io::Result<FileOutcome> {
+/// Lints one file and, when it joins the call graph, collects its symbols.
+fn run_one_file(task: &FileTask) -> io::Result<FileOutcome> {
     let text = fs::read_to_string(&task.path)?;
-    let hash = cache::content_hash(text.as_bytes());
-    let cached = prior
-        .files
-        .get(&task.rel)
-        .filter(|entry| entry.hash == hash);
-    let (findings, cache_hit) = match cached {
-        Some(entry) => (entry.findings.clone(), true),
-        None => (check_file(&task.rel, &text, task.ctx), false),
-    };
+    let findings = check_file(&task.rel, &text, task.ctx);
     let symbols = task
         .graph
         .then(|| symbols::collect(&task.crate_name, &task.module, &task.rel, &text));
-    Ok(FileOutcome {
-        findings,
-        symbols,
-        hash,
-        cache_hit,
-    })
+    Ok(FileOutcome { findings, symbols })
 }
 
 /// The tier-1 gate check: the workspace policy plus baseline-ratchet

@@ -1,4 +1,4 @@
-//! Hand-rolled SARIF v2.1.0 export of the lint findings.
+//! SARIF v2.1.0 export of the lint findings.
 //!
 //! SARIF (Static Analysis Results Interchange Format) is the
 //! OASIS-standard envelope that code-hosting CI surfaces ingest to
@@ -6,11 +6,9 @@
 //! `--json` report in [`crate::baseline::report_json`]: one `result` per
 //! finding, anchored to the workspace-relative file and 1-indexed line.
 //!
-//! Like the rest of lintkit the writer is dependency-free — the document
-//! is small and append-only, so a string builder over
-//! [`crate::baseline::json_string`] (the escape-correct literal writer)
-//! is all it takes. Shape kept to the minimal valid core of §3 of the
-//! spec:
+//! The document is built as a `serde_json::Value` and printed by the
+//! vendored shim, like the baseline and the `--json` report. Shape kept to
+//! the minimal valid core of §3 of the spec:
 //!
 //! * `runs[0].tool.driver` names the analyzer and carries the full rule
 //!   table (every [`Rule`] with its one-line description), so viewers can
@@ -24,9 +22,9 @@
 //! whole-file findings (vendor-manifest drift) anchor at line 0
 //! internally.
 
-use std::fmt::Write as _;
+use serde_json::Value;
 
-use crate::baseline::json_string;
+use crate::baseline::{object, pretty, string};
 use crate::rules::{Finding, Rule};
 
 /// Every rule lintkit defines, in the stable order used for
@@ -74,52 +72,58 @@ fn description(rule: Rule) -> &'static str {
 
 /// Renders the findings as a complete SARIF v2.1.0 log (one run).
 pub fn report_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\n  \"$schema\": \
-         \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \
-         \"tool\": {\n        \"driver\": {\n          \
-         \"name\": \"lintkit\",\n          \
-         \"informationUri\": \"https://example.invalid/lintkit\",\n          \
-         \"rules\": [",
-    );
-    for (i, rule) in RULES.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n            {{ \"id\": {}, \"shortDescription\": {{ \"text\": {} }} }}",
-            json_string(rule.name()),
-            json_string(description(*rule))
-        );
-    }
-    out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rule_index = RULES.iter().position(|r| *r == f.rule).unwrap_or(0);
-        let _ = write!(
-            out,
-            "\n        {{\n          \"ruleId\": {},\n          \
-             \"ruleIndex\": {},\n          \"level\": \"error\",\n          \
-             \"message\": {{ \"text\": {} }},\n          \"locations\": [\n            \
-             {{ \"physicalLocation\": {{ \"artifactLocation\": {{ \"uri\": {} }}, \
-             \"region\": {{ \"startLine\": {} }} }} }}\n          ]\n        }}",
-            json_string(f.rule.name()),
-            rule_index,
-            json_string(&f.message),
-            json_string(&f.file),
-            f.line.max(1)
-        );
-    }
-    if findings.is_empty() {
-        out.push_str("]\n    }\n  ]\n}\n");
-    } else {
-        out.push_str("\n      ]\n    }\n  ]\n}\n");
-    }
-    out
+    let rules = RULES
+        .iter()
+        .map(|rule| {
+            object([
+                ("id", string(rule.name())),
+                (
+                    "shortDescription",
+                    object([("text", string(description(*rule)))]),
+                ),
+            ])
+        })
+        .collect();
+    let results = findings.iter().map(result).collect();
+    let driver = object([
+        ("name", string("lintkit")),
+        ("informationUri", string("https://example.invalid/lintkit")),
+        ("rules", Value::Array(rules)),
+    ]);
+    let run = object([
+        ("tool", object([("driver", driver)])),
+        ("results", Value::Array(results)),
+    ]);
+    pretty(&object([
+        (
+            "$schema",
+            string("https://json.schemastore.org/sarif-2.1.0.json"),
+        ),
+        ("version", string("2.1.0")),
+        ("runs", Value::Array(vec![run])),
+    ]))
+}
+
+/// One SARIF `result`: the finding anchored to its file and line.
+fn result(f: &Finding) -> Value {
+    let rule_index = RULES.iter().position(|r| *r == f.rule).unwrap_or(0);
+    let location = object([(
+        "physicalLocation",
+        object([
+            ("artifactLocation", object([("uri", string(&f.file))])),
+            (
+                "region",
+                object([("startLine", Value::Number(f64::from(f.line.max(1))))]),
+            ),
+        ]),
+    )]);
+    object([
+        ("ruleId", string(f.rule.name())),
+        ("ruleIndex", Value::Number(rule_index as f64)),
+        ("level", string("error")),
+        ("message", object([("text", string(&f.message))])),
+        ("locations", Value::Array(vec![location])),
+    ])
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@ fn fixture_analysis() -> Analysis {
         hot_paths: vec!["hot::fastpath::drain_window".to_string()],
         warm_paths: vec!["hot::fastpath::setup_tables".to_string()],
         graph_skip_crates: Vec::new(),
-        cache: None,
     };
     analyze_workspace(&config).expect("fixture workspace lints")
 }

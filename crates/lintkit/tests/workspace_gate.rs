@@ -49,6 +49,21 @@ fn workspace_is_lint_clean_modulo_baseline() {
 }
 
 #[test]
+fn committed_baseline_is_what_update_baseline_writes() {
+    // `xtask lint --update-baseline` on an unchanged tree must be a no-op:
+    // the committed file is byte-for-byte the generator's output, so the
+    // printer cannot drift without this failing.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root");
+    let findings = lint_workspace(&Config::for_workspace(&root)).expect("lint pass runs");
+    let committed =
+        std::fs::read_to_string(root.join(baseline::BASELINE_FILE)).expect("baseline file");
+    assert_eq!(baseline::generate(&findings), committed);
+}
+
+#[test]
 fn baseline_holds_only_dynamic_dispatch_findings() {
     // The checked-in baseline is reserved for ⊥ (dynamic-dispatch) edges the
     // conservative graph cannot resolve; genuine panic sites must be fixed
@@ -94,7 +109,6 @@ fn determinism_soundness_rules_are_active() {
         hot_paths: Vec::new(),
         warm_paths: Vec::new(),
         graph_skip_crates: Vec::new(),
-        cache: None,
     };
     let findings = lint_workspace(&config).expect("fixture workspace lints");
     for name in ["map-iter-order", "rng-fork-order", "shard-state-escape"] {
@@ -127,7 +141,6 @@ fn resource_soundness_rules_are_active() {
         hot_paths: vec!["hot::fastpath::drain_window".to_string()],
         warm_paths: vec!["hot::fastpath::setup_tables".to_string()],
         graph_skip_crates: Vec::new(),
-        cache: None,
     };
     let findings = lint_workspace(&config).expect("fixture workspace lints");
     for name in ["alloc-in-hot-path", "narrowing-cast", "unchecked-arith"] {

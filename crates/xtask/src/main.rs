@@ -18,14 +18,15 @@
 //!   (rule/file/line/message) for CI artifacts.
 //! * `lint --sarif PATH` — write the same findings as a SARIF v2.1.0 log
 //!   (one result per finding) for code-hosting annotation UIs.
-//! * `bench-report [--suite lpm|scan|masque|all]` — run an ablation bench
-//!   with the shim's `BENCH_JSON` line output enabled and distil it into
-//!   `BENCH_lpm.json` / `BENCH_scan.json` / `BENCH_masque.json` (bench
-//!   name → ns/op, median), the artifacts CI uploads. The scan suite
-//!   appends derived `speedup_engine_w8_*` ratios; the lpm suite appends
-//!   `speedup_churn_*` (full-refreeze over amortized-overlay update
-//!   cost); the masque suite appends `sessions_per_sec_*` throughput and
-//!   the serial/engine speedup. Default suite: `lpm`.
+//! * `bench-report [--suite lpm|scan|masque|lint|all]` — run an ablation
+//!   bench with the shim's `BENCH_JSON` line output enabled and distil it
+//!   into `BENCH_lpm.json` / `BENCH_scan.json` / `BENCH_masque.json`
+//!   (bench name → ns/op, median), the artifacts CI uploads. The scan
+//!   suite appends derived `speedup_engine_w8_*` ratios; the lpm suite
+//!   appends `speedup_churn_*` (full-refreeze over amortized-overlay
+//!   update cost); the masque suite appends `sessions_per_sec_*`
+//!   throughput and the serial/engine speedup. The lint suite times one
+//!   in-process lint pass into `BENCH_lint.json`. Default suite: `lpm`.
 //! * `chaos` — run the fault-injection scenario matrix in-process:
 //!   `--scenario NAME --seed N` for one cell, `--all --seeds K` for the
 //!   whole registry, `--out PATH` for a JSON invariant report. Exits
@@ -33,14 +34,17 @@
 //!
 //! The same pass runs as a tier-1 test (`crates/lintkit/tests/
 //! workspace_gate.rs`) and as a CI job, so `xtask lint` passing locally
-//! means the gates pass too.
+//! means the gates pass too. Every JSON document xtask reads or writes
+//! goes through the vendored `serde_json` shim.
 
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use lintkit::{analyze_workspace, baseline, manifest, sarif, Config};
+use serde_json::Value;
 
 /// The workspace root, resolved at run time from the current directory
 /// (see [`find_root`]). The compile-time manifest path is never used: a
@@ -75,8 +79,6 @@ fn find_root(start: &Path) -> Option<PathBuf> {
 struct LintOpts {
     update_manifest: bool,
     update_baseline: bool,
-    /// Print per-phase wall times and cache hit/miss counts.
-    timings: bool,
     /// `Some(None)` = DOT to stdout, `Some(Some(path))` = DOT to file.
     graph: Option<Option<String>>,
     json: Option<String>,
@@ -87,7 +89,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
     let mut opts = LintOpts {
         update_manifest: false,
         update_baseline: false,
-        timings: false,
         graph: None,
         json: None,
         sarif: None,
@@ -99,8 +100,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
             opts.update_manifest = true;
         } else if arg == "--update-baseline" {
             opts.update_baseline = true;
-        } else if arg == "--timings" {
-            opts.timings = true;
         } else if arg == "--graph" {
             opts.graph = Some(None);
         } else if let Some(path) = arg.strip_prefix("--graph=") {
@@ -130,7 +129,7 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         eprintln!(
             "usage: cargo run -p xtask -- lint \
-             [--update-manifest] [--update-baseline] [--timings] [--graph[=PATH]] [--json PATH] \
+             [--update-manifest] [--update-baseline] [--graph[=PATH]] [--json PATH] \
              [--sarif PATH]\n\
              \x20      cargo run -p xtask -- bench-report [--suite lpm|scan|masque|lint|all] [--out PATH]\n\
              \x20      cargo run -p xtask -- chaos (--scenario NAME | --all) \
@@ -231,7 +230,7 @@ fn chaos(args: &[String]) -> ExitCode {
         goldens.push((s, run_pipeline(s, None, &config)));
         goldens.len() - 1
     };
-    let mut report_lines: Vec<String> = Vec::new();
+    let mut report: Vec<Value> = Vec::new();
     let mut total_runs = 0u64;
     let mut total_violations = 0u64;
     for name in &names {
@@ -259,21 +258,20 @@ fn chaos(args: &[String]) -> ExitCode {
                     println!("chaos:   invariant violated: {v}");
                 }
             }
-            report_lines.push(format!(
-                "  {{\"scenario\": \"{name}\", \"seed\": {s}, \"violations\": [{}]}}",
-                violations
-                    .iter()
-                    .map(|v| format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
+            report.push(Value::Object(vec![
+                ("scenario".to_string(), Value::String(name.clone())),
+                ("seed".to_string(), Value::Number(s as f64)),
+                (
+                    "violations".to_string(),
+                    Value::Array(violations.into_iter().map(Value::String).collect()),
+                ),
+            ]));
         }
     }
     println!("chaos: {total_runs} scenario-runs, {total_violations} invariant violation(s)");
     if let Some(path) = out {
-        let body = format!("[\n{}\n]\n", report_lines.join(",\n"));
-        if let Err(e) = fs::write(&path, body) {
-            eprintln!("xtask chaos: writing {}: {e}", path.display());
+        if let Err(e) = write_json(&path, &Value::Array(report)) {
+            eprintln!("xtask chaos: {e}");
             return ExitCode::FAILURE;
         }
         println!("chaos: wrote invariant report to {}", path.display());
@@ -366,7 +364,7 @@ fn bench_report(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    // The lint suite is in-process (two analyze_workspace passes), not a
+    // The lint suite is in-process (one analyze_workspace pass), not a
     // cargo-bench target, so it is dispatched before the table lookup.
     if suite == "lint" {
         let out = out_path.unwrap_or_else(|| root.join("BENCH_lint.json"));
@@ -411,60 +409,31 @@ fn bench_report(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The incremental-lint benchmark: a cold pass (cache deleted first) and a
-/// warm pass over the real workspace. Fails unless the warm pass serves
-/// every file from cache, emits byte-identical findings, and spends less
-/// wall time in the per-file pass — the cache's whole contract.
+/// The lint-pass bench row: one `analyze_workspace` over the real
+/// workspace, timed here at the harness edge.
+// Wall-clock is the measurement, as in the criterion shim: the lint pass
+// runs outside any simulation.
+#[allow(clippy::disallowed_methods)]
 fn run_lint_bench(root: &Path, out_path: &Path) -> Result<(), String> {
     let config = Config::for_workspace(root);
-    if let Some(cache) = &config.cache {
-        let _ = fs::remove_file(cache);
-    }
-    let cold = analyze_workspace(&config).map_err(|e| format!("cold lint pass: {e}"))?;
-    let warm = analyze_workspace(&config).map_err(|e| format!("warm lint pass: {e}"))?;
-    if baseline::report_json(&cold.findings) != baseline::report_json(&warm.findings) {
-        return Err("warm-cache findings are not byte-identical to the cold run".to_string());
-    }
-    if warm.stats.cache_hits != warm.stats.files || warm.stats.cache_misses != 0 {
-        return Err(format!(
-            "warm pass expected {} cache hits, got {} ({} misses)",
-            warm.stats.files, warm.stats.cache_hits, warm.stats.cache_misses
-        ));
-    }
-    if warm.stats.file_pass_ns >= cold.stats.file_pass_ns {
-        return Err(format!(
-            "warm file pass ({} ns) not faster than cold ({} ns)",
-            warm.stats.file_pass_ns, cold.stats.file_pass_ns
-        ));
-    }
-    let speedup = cold.stats.file_pass_ns as f64 / warm.stats.file_pass_ns.max(1) as f64;
-    let rows = [
-        ("files", cold.stats.files as f64),
-        ("cold_file_pass_ns", cold.stats.file_pass_ns as f64),
-        ("cold_graph_ns", cold.stats.graph_ns as f64),
-        ("cold_total_ns", cold.stats.total_ns as f64),
-        ("warm_file_pass_ns", warm.stats.file_pass_ns as f64),
-        ("warm_graph_ns", warm.stats.graph_ns as f64),
-        ("warm_total_ns", warm.stats.total_ns as f64),
-        ("warm_cache_hits", warm.stats.cache_hits as f64),
-        ("speedup_warm_file_pass", speedup),
+    let start = Instant::now();
+    let analysis = analyze_workspace(&config).map_err(|e| format!("lint pass: {e}"))?;
+    let pass_ns = start.elapsed().as_nanos() as f64;
+    let rows = vec![
+        ("lint_pass_ns".to_string(), pass_ns),
+        ("functions".to_string(), analysis.graph.funcs.len() as f64),
+        ("findings".to_string(), analysis.findings.len() as f64),
     ];
-    let body = rows
-        .iter()
-        .map(|(name, v)| format!("  \"{name}\": {v:.1}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    fs::write(out_path, format!("{{\n{body}\n}}\n"))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
+    write_rows(out_path, rows)?;
     println!(
-        "xtask bench-report: wrote {} (cold/warm lint pass, {:.1}x warm file-pass speedup)",
+        "xtask bench-report: wrote {} (lint pass {:.1} ms)",
         out_path.display(),
-        speedup
+        pass_ns / 1e6
     );
     Ok(())
 }
 
-fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Result<(), String> {
+fn run_bench_suite(root: &Path, suite: &BenchSuite, out_path: &Path) -> Result<(), String> {
     let lines_path = root
         .join("target")
         .join(format!("bench-{}-lines.jsonl", suite.name));
@@ -483,8 +452,12 @@ fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Re
         .map_err(|e| format!("no BENCH_JSON output at {}: {e}", lines_path.display()))?;
     let mut rows: Vec<(String, f64)> = Vec::new();
     for line in lines.lines().filter(|l| !l.trim().is_empty()) {
-        let (Some(bench), Some(median)) = (json_str(line, "bench"), json_num(line, "median_ns"))
-        else {
+        let parsed = serde_json::from_str::<Value>(line).ok();
+        let field = |key: &str| parsed.as_ref().and_then(|v| v.get(key));
+        let (Some(bench), Some(median)) = (
+            field("bench").and_then(Value::as_str),
+            field("median_ns").and_then(Value::as_f64),
+        ) else {
             return Err(format!("unparseable line: {line}"));
         };
         rows.push((bench.to_string(), median));
@@ -560,38 +533,30 @@ fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Re
         }
         rows.extend(derived);
     }
-    let body = rows
-        .iter()
-        .map(|(name, ns)| format!("  \"{name}\": {ns:.1}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    fs::write(out_path, format!("{{\n{body}\n}}\n"))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
+    let entries = rows.len();
+    write_rows(out_path, rows)?;
     println!(
-        "xtask bench-report: wrote {} ({} entries, ns/op medians)",
-        out_path.display(),
-        rows.len()
+        "xtask bench-report: wrote {} ({entries} entries, ns/op medians)",
+        out_path.display()
     );
     Ok(())
 }
 
-/// Extracts a string field from one flat `BENCH_JSON` line.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = field_value(line, key)?;
-    rest.strip_prefix('"')?.split('"').next()
+/// Writes a flat `name → value` BENCH report, values rounded to one
+/// decimal.
+fn write_rows(path: &Path, rows: Vec<(String, f64)>) -> Result<(), String> {
+    let doc = rows
+        .into_iter()
+        .map(|(name, v)| (name, Value::Number((v * 10.0).round() / 10.0)))
+        .collect();
+    write_json(path, &Value::Object(doc))
 }
 
-/// Extracts a numeric field from one flat `BENCH_JSON` line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let rest = field_value(line, key)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    Some(&line[start..])
+/// Pretty-prints `doc` to `path` through the vendored `serde_json` shim.
+fn write_json(path: &Path, doc: &Value) -> Result<(), String> {
+    let mut text = serde_json::to_string_pretty(doc).map_err(|e| e.to_string())?;
+    text.push('\n');
+    fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 fn lint(opts: &LintOpts) -> ExitCode {
@@ -626,19 +591,6 @@ fn lint(opts: &LintOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.timings {
-        let s = &analysis.stats;
-        println!(
-            "xtask lint: timings — {} file(s), {} cache hit(s), {} miss(es); \
-             file pass {:.1} ms, graph {:.1} ms, total {:.1} ms",
-            s.files,
-            s.cache_hits,
-            s.cache_misses,
-            s.file_pass_ns as f64 / 1e6,
-            s.graph_ns as f64 / 1e6,
-            s.total_ns as f64 / 1e6,
-        );
-    }
     if let Some(target) = &opts.graph {
         let dot = analysis.graph.to_dot(&analysis.entries);
         match target {

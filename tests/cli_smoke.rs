@@ -1,19 +1,7 @@
 //! Smoke tests for the `tectonic` CLI binary and the `xtask chaos`
 //! driver.
 
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Mutex;
-
-/// Serializes the tests that invoke `xtask lint`: they share the real
-/// workspace's on-disk lint cache, so concurrent runs would race the
-/// hit/miss counters the assertions below pin down.
-static LINT_LOCK: Mutex<()> = Mutex::new(());
-
-fn workspace_cache() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("target/lintkit-cache.json")
-}
 
 fn run(args: &[&str]) -> (String, String, bool) {
     let output = Command::new(env!("CARGO_BIN_EXE_tectonic"))
@@ -119,8 +107,35 @@ fn chaos_broken_fixture_exits_nonzero() {
 }
 
 #[test]
+fn chaos_out_writes_a_json_invariant_report() {
+    let dir = std::env::temp_dir().join("tectonic-cli-smoke-chaos");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("chaos-report.json");
+    let _ = std::fs::remove_file(&path);
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let (stdout, stderr, ok) = run_xtask(&[
+        "chaos",
+        "--scenario",
+        "broken-fixture",
+        "--seed",
+        "1",
+        "--out",
+        path_str,
+    ]);
+    assert!(!ok, "broken fixture must fail:\n{stdout}\n{stderr}");
+    let text = std::fs::read_to_string(&path).expect("report written despite the failure");
+    let report: serde_json::Value = serde_json::from_str(&text).expect("report is valid JSON");
+    let cell = &report[0];
+    assert_eq!(cell["scenario"], "broken-fixture");
+    assert_eq!(cell["seed"], 1);
+    let violations = cell["violations"].as_array().expect("violations array");
+    assert!(!violations.is_empty(), "no violations recorded: {text}");
+    assert!(violations.iter().all(|v| v.as_str().is_some()));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn lint_sarif_writes_valid_report() {
-    let _guard = LINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("tectonic-cli-smoke-sarif");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("lint.sarif");
@@ -146,62 +161,11 @@ fn lint_sarif_writes_valid_report() {
 
 #[test]
 fn lint_sarif_unwritable_path_fails() {
-    let _guard = LINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (stdout, stderr, ok) = run_xtask(&["lint", "--sarif", "/nonexistent-smoke-dir/lint.sarif"]);
     assert!(!ok, "unwritable SARIF path must fail:\n{stdout}\n{stderr}");
     assert!(
         stderr.contains("xtask lint: writing"),
         "write error missing: {stderr}"
-    );
-}
-
-#[test]
-fn lint_timings_reports_cold_then_warm_cache_counts() {
-    let _guard = LINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cache = workspace_cache();
-    let _ = fs::remove_file(&cache);
-    // Cold: nothing can be served from cache, and the pass persists one.
-    let (stdout, stderr, ok) = run_xtask(&["lint", "--timings"]);
-    assert!(ok, "cold lint --timings failed:\n{stdout}\n{stderr}");
-    assert!(
-        stdout.contains("xtask lint: timings —"),
-        "timings line missing: {stdout}"
-    );
-    assert!(
-        stdout.contains("0 cache hit(s)"),
-        "cold run must serve nothing from cache: {stdout}"
-    );
-    assert!(cache.is_file(), "lint persisted the cache");
-    // Warm: every per-file result is served from the cache just written.
-    let (stdout2, stderr2, ok2) = run_xtask(&["lint", "--timings"]);
-    assert!(ok2, "warm lint --timings failed:\n{stdout2}\n{stderr2}");
-    assert!(
-        stdout2.contains("0 miss(es)"),
-        "warm run must re-lint nothing: {stdout2}"
-    );
-}
-
-#[test]
-fn lint_discards_a_stale_or_corrupt_cache() {
-    let _guard = LINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cache = workspace_cache();
-    // Ensure a cache exists, then clobber it with bytes no schema accepts —
-    // the shape of a cache left by an older lintkit version.
-    let (_, _, ok) = run_xtask(&["lint"]);
-    assert!(ok, "seeding lint run failed");
-    fs::write(&cache, "{ \"schema\": \"stale\", not even json").expect("clobber cache");
-    let (stdout, stderr, ok) = run_xtask(&["lint", "--timings"]);
-    assert!(
-        ok,
-        "lint must recover from a bad cache:\n{stdout}\n{stderr}"
-    );
-    assert!(
-        stdout.contains("0 cache hit(s)"),
-        "a discarded cache serves nothing: {stdout}"
-    );
-    assert!(
-        stdout.contains("xtask lint: clean"),
-        "verdict unchanged by cache state: {stdout}"
     );
 }
 
