@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic_core::report::render_fig3;
+use tectonic_engine::EngineConfig;
 use tectonic_geo::country::CountryCode;
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::{DnsMode, Domain};
@@ -22,8 +23,10 @@ fn bench(c: &mut Criterion) {
     let fixed_device = d.vantage_device(CountryCode::DE, DnsMode::Fixed(forced), vantage_ops);
     let config = RelayScanConfig::operator_series();
     let start = Epoch::May2022.start();
-    let open = RelayScanSeries::run(&open_device, &auth, &config, start);
-    let fixed = RelayScanSeries::run(&fixed_device, &auth, &config, start);
+    let engine = EngineConfig::default();
+    let series = |device| RelayScanSeries::run_engine(device, &[&auth], &config, start, 0, &engine);
+    let open = series(&open_device);
+    let fixed = series(&fixed_device);
     banner("Figure 3: egress operator changes over the scan day");
     print!("{}", render_fig3(&open, &fixed));
     println!(
@@ -32,9 +35,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig3");
     group.sample_size(10);
-    group.bench_function("relay_scan_day", |b| {
-        b.iter(|| RelayScanSeries::run(&open_device, &auth, &config, start))
-    });
+    group.bench_function("relay_scan_day", |b| b.iter(|| series(&open_device)));
     group.finish();
 }
 

@@ -11,6 +11,7 @@ use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
 use tectonic_core::ecs_scan::EcsScanner;
 use tectonic_dns::QType;
+use tectonic_engine::EngineConfig;
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::Domain;
 
@@ -21,7 +22,18 @@ fn bench(c: &mut Criterion) {
     let mut clock = SimClock::new(Epoch::Apr2022.start());
     let ecs = scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock);
     let atlas = AtlasSetup::build(d, &PopulationConfig::paper().with_probes(2_000), 7);
-    let results = atlas.run_mask_campaign(d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7);
+    let engine = EngineConfig::default();
+    let campaign = || {
+        atlas.run_mask_campaign_engine(
+            &[&auth],
+            Domain::MaskQuic,
+            QType::A,
+            Epoch::Apr2022,
+            7,
+            &engine,
+        )
+    };
+    let results = campaign();
     let report = AtlasCampaignReport::aggregate(d, &results);
     let atlas_ingress: BTreeSet<Ipv4Addr> = report
         .v4_addresses
@@ -43,9 +55,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("r1");
     group.sample_size(10);
-    group.bench_function("atlas_a_campaign", |b| {
-        b.iter(|| atlas.run_mask_campaign(d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7))
-    });
+    group.bench_function("atlas_a_campaign", |b| b.iter(campaign));
     group.finish();
 }
 

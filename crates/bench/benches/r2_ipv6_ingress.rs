@@ -8,6 +8,7 @@ use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
 use tectonic_dns::server::{NameServer, QueryContext, ServerReply};
 use tectonic_dns::{decode_message, encode_message, EcsOption, Message, QType};
+use tectonic_engine::EngineConfig;
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::Domain;
 
@@ -39,7 +40,19 @@ fn bench(c: &mut Criterion) {
     banner("R2: IPv6 ingress enumeration via Atlas AAAA campaign (April)");
     show_v6_scope_zero(d);
     let atlas = AtlasSetup::build(d, &PopulationConfig::paper().with_probes(3_000), 9);
-    let results = atlas.run_mask_campaign(d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 9);
+    let auth = d.auth_server_unlimited();
+    let engine = EngineConfig::default();
+    let campaign = || {
+        atlas.run_mask_campaign_engine(
+            &[&auth],
+            Domain::MaskQuic,
+            QType::AAAA,
+            Epoch::Apr2022,
+            9,
+            &engine,
+        )
+    };
+    let results = campaign();
     let report = AtlasCampaignReport::aggregate(d, &results);
     println!(
         "distinct IPv6 ingress addresses: {} — Apple {}, AkamaiPR {}",
@@ -51,9 +64,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("r2");
     group.sample_size(10);
-    group.bench_function("atlas_aaaa_campaign", |b| {
-        b.iter(|| atlas.run_mask_campaign(d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 9))
-    });
+    group.bench_function("atlas_aaaa_campaign", |b| b.iter(campaign));
     group.finish();
 }
 

@@ -9,6 +9,7 @@ use tectonic_core::blocking::survey;
 use tectonic_core::report::render_blocking;
 use tectonic_dns::server::AuthoritativeServer;
 use tectonic_dns::{QType, RData, Record, Zone};
+use tectonic_engine::EngineConfig;
 use tectonic_net::Epoch;
 use tectonic_relay::Domain;
 
@@ -25,9 +26,19 @@ fn control_server() -> AuthoritativeServer {
 fn bench(c: &mut Criterion) {
     let d = bench_deployment();
     let atlas = AtlasSetup::build(d, &PopulationConfig::paper().with_probes(11_700), 3);
-    let mask_results = atlas.run_mask_campaign(d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 3);
+    let auth = d.auth_server_unlimited();
+    let engine = EngineConfig::default();
+    let mask_results = atlas.run_mask_campaign_engine(
+        &[&auth],
+        Domain::MaskQuic,
+        QType::A,
+        Epoch::Apr2022,
+        3,
+        &engine,
+    );
     let control = control_server();
-    let control_results = atlas.run_control_campaign(&control, Epoch::Apr2022, 4);
+    let control_results =
+        atlas.run_control_campaign_engine(&[&control], Epoch::Apr2022, 4, &engine);
     let is_ingress = |addr: std::net::IpAddr| d.fleets.is_ingress(addr);
     let report = survey(&mask_results, &control_results, &is_ingress);
     banner("R3: service-blocking survey (11,700 probes)");

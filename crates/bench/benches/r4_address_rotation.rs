@@ -7,6 +7,7 @@ use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic_core::report::render_rotation;
 use tectonic_core::rotation::RotationReport;
+use tectonic_engine::EngineConfig;
 use tectonic_geo::country::CountryCode;
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::DnsMode;
@@ -20,20 +21,26 @@ fn bench(c: &mut Criterion) {
         vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR],
     );
     let config = RelayScanConfig::rotation_series();
-    let series = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
-    let report = RotationReport::from_series(&series);
+    let engine = EngineConfig::default();
+    let rotation = || {
+        let series = RelayScanSeries::run_engine(
+            &device,
+            &[&auth],
+            &config,
+            Epoch::May2022.start(),
+            0,
+            &engine,
+        );
+        RotationReport::from_series(&series)
+    };
+    let report = rotation();
     banner("R4: egress address rotation (48 h, 30 s rounds)");
     print!("{}", render_rotation(&report));
     println!("(paper: 6 addresses / 4 subnets, >66% change rate, parallel requests diverge)");
 
     let mut group = c.benchmark_group("r4");
     group.sample_size(10);
-    group.bench_function("rotation_scan_48h", |b| {
-        b.iter(|| {
-            let series = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
-            RotationReport::from_series(&series)
-        })
-    });
+    group.bench_function("rotation_scan_48h", |b| b.iter(rotation));
     group.finish();
 }
 

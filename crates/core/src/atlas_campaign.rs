@@ -6,6 +6,10 @@
 //! * AAAA campaigns enumerate the IPv6 ingress fleet (R2 — the only way,
 //!   since ECS over IPv6 always comes back with scope 0),
 //! * `whoami` campaigns recover the resolver mix (>50 % public).
+//!
+//! Every campaign runs on the sharded discrete-event engine. The atlas
+//! crate's serial [`DnsCampaign::run`] stays as the reference the engine
+//! runs are tested against.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -49,38 +53,8 @@ impl AtlasSetup {
         AtlasSetup { probes }
     }
 
-    /// Runs an A or AAAA campaign for one mask domain at `epoch`.
-    pub fn run_mask_campaign(
-        &self,
-        deployment: &Deployment,
-        domain: Domain,
-        qtype: QType,
-        epoch: Epoch,
-        seed: u64,
-    ) -> Vec<ProbeResult> {
-        let auth = deployment.auth_server_unlimited();
-        self.run_mask_campaign_with(&auth, domain, qtype, epoch, seed)
-    }
-
-    /// Like [`run_mask_campaign`](AtlasSetup::run_mask_campaign), but
-    /// against a caller-supplied authoritative server — the hook the chaos
-    /// harness uses to interpose a fault-injecting wrapper on the
-    /// probe-to-auth path. Passing `deployment.auth_server_unlimited()`
-    /// reproduces `run_mask_campaign` exactly.
-    pub fn run_mask_campaign_with(
-        &self,
-        auth: &dyn tectonic_dns::server::NameServer,
-        domain: Domain,
-        qtype: QType,
-        epoch: Epoch,
-        seed: u64,
-    ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::mask(domain.name(), qtype);
-        campaign.run(&self.probes, auth, epoch.start(), &SimRng::new(seed))
-    }
-
-    /// Like [`run_mask_campaign_with`](AtlasSetup::run_mask_campaign_with),
-    /// but on the sharded discrete-event engine.
+    /// Runs an A or AAAA campaign for one mask domain at `epoch` on the
+    /// sharded discrete-event engine.
     ///
     /// Probes are dealt to shards in contiguous index ranges and each probe
     /// is one scheduled event at the epoch start. A probe's transient-flake
@@ -103,9 +77,8 @@ impl AtlasSetup {
         run_campaign_engine(&campaign, &self.probes, auths, epoch.start(), seed, engine)
     }
 
-    /// Engine variant of
-    /// [`run_control_campaign`](AtlasSetup::run_control_campaign); same
-    /// sharding and equivalence contract as
+    /// Runs the control campaign (an unrelated, always-resolvable domain);
+    /// same sharding and equivalence contract as
     /// [`run_mask_campaign_engine`](AtlasSetup::run_mask_campaign_engine).
     pub fn run_control_campaign_engine(
         &self,
@@ -125,25 +98,6 @@ impl AtlasSetup {
             epoch.start(),
             seed,
             engine,
-        )
-    }
-
-    /// Runs the control campaign (an unrelated, always-resolvable domain).
-    pub fn run_control_campaign(
-        &self,
-        control_auth: &dyn tectonic_dns::server::NameServer,
-        epoch: Epoch,
-        seed: u64,
-    ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::control(
-            tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
-            QType::A,
-        );
-        campaign.run(
-            &self.probes,
-            control_auth,
-            epoch.start(),
-            &SimRng::new(seed),
         )
     }
 
@@ -324,10 +278,27 @@ mod tests {
         (d, atlas)
     }
 
+    fn mask_campaign(
+        d: &Deployment,
+        atlas: &AtlasSetup,
+        qtype: QType,
+        seed: u64,
+    ) -> Vec<ProbeResult> {
+        let auth = d.auth_server_unlimited();
+        atlas.run_mask_campaign_engine(
+            &[&auth],
+            Domain::MaskQuic,
+            qtype,
+            Epoch::Apr2022,
+            seed,
+            &EngineConfig::default(),
+        )
+    }
+
     #[test]
     fn a_campaign_sees_subset_of_full_fleet() {
         let (d, atlas) = setup();
-        let results = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
+        let results = mask_campaign(&d, &atlas, QType::A, 1);
         let report = AtlasCampaignReport::aggregate(&d, &results);
         assert!(!report.v4_addresses.is_empty());
         // Every observed address is a current ingress address (⊆ ECS
@@ -365,7 +336,7 @@ mod tests {
     #[test]
     fn aaaa_campaign_enumerates_v6() {
         let (d, atlas) = setup();
-        let results = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 2);
+        let results = mask_campaign(&d, &atlas, QType::AAAA, 2);
         let report = AtlasCampaignReport::aggregate(&d, &results);
         assert!(!report.v6_addresses.is_empty());
         assert!(report.v6_count_for(Asn::AKAMAI_PR) > report.v6_count_for(Asn::APPLE));
@@ -389,8 +360,12 @@ mod tests {
     fn engine_campaign_matches_serial_for_all_worker_counts() {
         let (d, atlas) = setup();
         let auth = d.auth_server_unlimited();
-        let serial =
-            atlas.run_mask_campaign_with(&auth, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7);
+        let serial = DnsCampaign::mask(Domain::MaskQuic.name(), QType::A).run(
+            &atlas.probes,
+            &auth,
+            Epoch::Apr2022.start(),
+            &SimRng::new(7),
+        );
         for (shards, workers) in [(1, 1), (5, 1), (5, 4), (8, 8)] {
             let engine = atlas.run_mask_campaign_engine(
                 &[&auth],
@@ -403,7 +378,16 @@ mod tests {
             assert_eq!(engine, serial, "shards={shards} workers={workers}");
         }
         // Control path too, including per-shard auth fan-out.
-        let serial_control = atlas.run_control_campaign(&auth, Epoch::Apr2022, 8);
+        let serial_control = DnsCampaign::control(
+            tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
+            QType::A,
+        )
+        .run(
+            &atlas.probes,
+            &auth,
+            Epoch::Apr2022.start(),
+            &SimRng::new(8),
+        );
         let auths: Vec<&(dyn NameServer + Sync)> = vec![&auth, &auth, &auth];
         let engine_control =
             atlas.run_control_campaign_engine(&auths, Epoch::Apr2022, 8, &EngineConfig::new(6, 3));
@@ -413,8 +397,8 @@ mod tests {
     #[test]
     fn campaigns_are_deterministic() {
         let (d, atlas) = setup();
-        let a = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 9);
-        let b = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 9);
+        let a = mask_campaign(&d, &atlas, QType::A, 9);
+        let b = mask_campaign(&d, &atlas, QType::A, 9);
         assert_eq!(a, b);
     }
 }

@@ -5,6 +5,10 @@
 //! series, 30 seconds for the fine-grained rotation run), in both the
 //! open-DNS and the fixed-DNS configuration. The observing web server's
 //! log — egress operator and address per request — is the output.
+//!
+//! Series run on the sharded discrete-event engine
+//! ([`RelayScanSeries::run_engine`]); `tests/engine_equivalence.rs` pins
+//! their output to frozen digests.
 
 use serde::{Deserialize, Serialize};
 use tectonic_dns::server::NameServer;
@@ -86,39 +90,16 @@ pub struct RelayScanSeries {
 }
 
 impl RelayScanSeries {
-    /// Runs the scan with `device` starting at `start`.
-    pub fn run(
-        device: &Device,
-        auth: &dyn NameServer,
-        config: &RelayScanConfig,
-        start: SimTime,
-    ) -> RelayScanSeries {
-        let mut rounds = Vec::with_capacity(config.rounds() as usize);
-        let mut failures = 0;
-        for i in 0..config.rounds() {
-            let now = start + SimDuration::from_millis(config.interval.as_millis() * i);
-            match device.request_pair(auth, now) {
-                Ok((safari, curl)) => rounds.push(ScanRound {
-                    relative_secs: (now - start).as_secs(),
-                    safari: LoggedRequest::from_request(&safari),
-                    curl: LoggedRequest::from_request(&curl),
-                }),
-                Err(_) => failures += 1,
-            }
-        }
-        RelayScanSeries { rounds, failures }
-    }
-
     /// Runs the scan on the sharded discrete-event engine.
     ///
     /// Rounds are dealt to shards in contiguous index ranges (so the
     /// merged log stays in round order) and each round is one scheduled
-    /// event at its legacy wall-clock instant. Connection ids are assigned
-    /// per round — round `i` uses `first_connection_id + 2i + 1` (Safari)
-    /// and `+ 2i + 2` (curl) — so for a failure-free series on a fresh
-    /// device (pass `first_connection_id = 0`) the output is byte-equal to
-    /// [`RelayScanSeries::run`]; a caller continuing an existing device
-    /// passes the number of connections it has already made.
+    /// event at `start + i × interval`. Connection ids are assigned per
+    /// round — round `i` uses `first_connection_id + 2i + 1` (Safari) and
+    /// `+ 2i + 2` (curl) — so the output is the same for every shard and
+    /// worker count. A fresh device starts at `first_connection_id = 0`; a
+    /// caller continuing a device passes the ids its earlier series used
+    /// (two per round).
     ///
     /// `servers` is indexed `shard % servers.len()`, like
     /// [`crate::ecs_scan::EcsScanner::scan_engine_sharded`]. Rounds are
@@ -253,16 +234,22 @@ mod tests {
     use tectonic_net::Epoch;
     use tectonic_relay::{Deployment, DeploymentConfig, DnsMode};
 
-    fn series(mode: DnsMode) -> (Deployment, RelayScanSeries) {
-        let d = Deployment::build(66, DeploymentConfig::scaled(512));
+    fn series_in(d: &Deployment, mode: DnsMode) -> RelayScanSeries {
         let auth = d.auth_server_unlimited();
         let device = d.device_in_country(CountryCode::DE, mode);
-        let s = RelayScanSeries::run(
+        RelayScanSeries::run_engine(
             &device,
-            &auth,
+            &[&auth],
             &RelayScanConfig::operator_series(),
             Epoch::May2022.start(),
-        );
+            0,
+            &EngineConfig::default(),
+        )
+    }
+
+    fn series(mode: DnsMode) -> (Deployment, RelayScanSeries) {
+        let d = Deployment::build(66, DeploymentConfig::scaled(512));
+        let s = series_in(&d, mode);
         (d, s)
     }
 
@@ -294,14 +281,7 @@ mod tests {
             tectonic_relay::Domain::MaskQuic,
             Asn::AKAMAI_PR,
         )[0];
-        let auth = d.auth_server_unlimited();
-        let device = d.device_in_country(CountryCode::DE, DnsMode::Fixed(forced));
-        let s = RelayScanSeries::run(
-            &device,
-            &auth,
-            &RelayScanConfig::operator_series(),
-            Epoch::May2022.start(),
-        );
+        let s = series_in(&d, DnsMode::Fixed(forced));
         assert_eq!(s.rounds.len(), 288);
         assert_eq!(s.failures, 0);
     }
@@ -356,59 +336,6 @@ mod tests {
     fn schedules_have_paper_shape() {
         assert_eq!(RelayScanConfig::operator_series().rounds(), 288);
         assert_eq!(RelayScanConfig::rotation_series().rounds(), 5760);
-    }
-
-    #[test]
-    fn engine_series_matches_legacy_and_is_worker_invariant() {
-        let (d, legacy) = series(DnsMode::Open);
-        // Fresh device per run: the legacy series consumed the original
-        // device's connection counter.
-        for (shards, workers) in [(1, 1), (6, 1), (6, 3), (6, 8)] {
-            let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
-            let auth = d.auth_server_unlimited();
-            let s = RelayScanSeries::run_engine(
-                &device,
-                &[&auth],
-                &RelayScanConfig::operator_series(),
-                Epoch::May2022.start(),
-                0,
-                &EngineConfig::new(shards, workers),
-            );
-            assert_eq!(s, legacy, "shards={shards} workers={workers}");
-        }
-    }
-
-    #[test]
-    fn engine_series_connection_id_base_continues_a_device() {
-        let d = Deployment::build(66, DeploymentConfig::scaled(512));
-        let auth = d.auth_server_unlimited();
-        let config = RelayScanConfig::operator_series();
-        // Legacy: one device runs two back-to-back series on its counter.
-        let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
-        let first = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
-        let second_start = Epoch::May2022.start() + config.duration;
-        let second = RelayScanSeries::run(&device, &auth, &config, second_start);
-        // Engine: a fresh device, second series continuing at the first's
-        // connection count (two ids per completed round).
-        let fresh = d.device_in_country(CountryCode::DE, DnsMode::Open);
-        let engine_first = RelayScanSeries::run_engine(
-            &fresh,
-            &[&auth],
-            &config,
-            Epoch::May2022.start(),
-            0,
-            &EngineConfig::new(4, 2),
-        );
-        let engine_second = RelayScanSeries::run_engine(
-            &fresh,
-            &[&auth],
-            &config,
-            second_start,
-            2 * config.rounds(),
-            &EngineConfig::new(4, 2),
-        );
-        assert_eq!(engine_first, first);
-        assert_eq!(engine_second, second);
     }
 
     #[test]

@@ -67,11 +67,13 @@ mod tests {
         let d = Deployment::build(66, DeploymentConfig::scaled(128));
         let auth = d.auth_server_unlimited();
         let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
-        let series = crate::relay_scan::RelayScanSeries::run(
+        let series = crate::relay_scan::RelayScanSeries::run_engine(
             &device,
-            &auth,
+            &[&auth],
             &RelayScanConfig::rotation_series(),
             Epoch::May2022.start(),
+            0,
+            &tectonic_engine::EngineConfig::default(),
         );
         RotationReport::from_series(&series)
     }

@@ -188,7 +188,7 @@ impl Config {
                 "quic::probe::*".to_string(),
                 // The relay client request path.
                 "relay::client::request".to_string(),
-                "relay::client::request_pair".to_string(),
+                "relay::client::request_pair_with_ids".to_string(),
                 "relay::client::odoh_resolve".to_string(),
                 // The fault-injection delivery hot path (chaos harness).
                 "simnet::channel::deliver".to_string(),

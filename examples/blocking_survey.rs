@@ -15,6 +15,7 @@ use tectonic::core::blocking::survey;
 use tectonic::core::report::render_blocking;
 use tectonic::dns::server::AuthoritativeServer;
 use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::engine::EngineConfig;
 use tectonic::net::Epoch;
 use tectonic::relay::{Deployment, DeploymentConfig, Domain};
 
@@ -39,8 +40,16 @@ fn main() {
     println!("resolver mix: {:?}", atlas.resolver_mix());
 
     // The relay-domain measurement and the control-domain comparison run.
-    let mask_results =
-        atlas.run_mask_campaign(&deployment, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
+    let auth = deployment.auth_server_unlimited();
+    let engine = EngineConfig::default();
+    let mask_results = atlas.run_mask_campaign_engine(
+        &[&auth],
+        Domain::MaskQuic,
+        QType::A,
+        Epoch::Apr2022,
+        1,
+        &engine,
+    );
     let mut control_zone = Zone::new("atlas-measurements.net".parse().unwrap());
     control_zone.add_record(Record::new(
         "control.atlas-measurements.net".parse().unwrap(),
@@ -48,7 +57,8 @@ fn main() {
         RData::A("93.184.216.34".parse().unwrap()),
     ));
     let control_auth = AuthoritativeServer::new().with_zone(control_zone);
-    let control_results = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 2);
+    let control_results =
+        atlas.run_control_campaign_engine(&[&control_auth], Epoch::Apr2022, 2, &engine);
 
     let is_ingress = |addr: std::net::IpAddr| deployment.fleets.is_ingress(addr);
     let report = survey(&mask_results, &control_results, &is_ingress);

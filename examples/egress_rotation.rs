@@ -9,6 +9,7 @@
 use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::core::report::{render_fig3, render_rotation};
 use tectonic::core::rotation::RotationReport;
+use tectonic::engine::EngineConfig;
 use tectonic::geo::country::CountryCode;
 use tectonic::net::{Asn, Epoch};
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode, Domain};
@@ -28,17 +29,24 @@ fn main() {
         deployment.vantage_device(CountryCode::DE, DnsMode::Fixed(forced), vantage_operators);
     let config = RelayScanConfig::operator_series();
     let start = Epoch::May2022.start();
-    let open = RelayScanSeries::run(&open_device, &auth, &config, start);
-    let fixed = RelayScanSeries::run(&fixed_device, &auth, &config, start);
+    let engine = EngineConfig::default();
+    let open = RelayScanSeries::run_engine(&open_device, &[&auth], &config, start, 0, &engine);
+    let fixed = RelayScanSeries::run_engine(&fixed_device, &[&auth], &config, start, 0, &engine);
     print!("{}", render_fig3(&open, &fixed));
 
-    // The fine-grained rotation run: 30-second rounds over 48 hours.
-    let rotation_series = RelayScanSeries::run(
-        &open_device,
-        &auth,
-        &RelayScanConfig::rotation_series(),
-        start,
-    );
+    // The fine-grained rotation run: 30-second rounds over 48 hours. Each
+    // device continues past the connection ids its operator series used.
+    let rotation_of = |device| {
+        RelayScanSeries::run_engine(
+            device,
+            &[&auth],
+            &RelayScanConfig::rotation_series(),
+            start,
+            2 * config.rounds(),
+            &engine,
+        )
+    };
+    let rotation_series = rotation_of(&open_device);
     let rotation = RotationReport::from_series(&rotation_series);
     println!();
     print!("{}", render_rotation(&rotation));
@@ -50,12 +58,7 @@ fn main() {
 
     // §4.3's closing check: forcing a specific ingress does not change the
     // egress behaviour.
-    let fixed_rotation = RotationReport::from_series(&RelayScanSeries::run(
-        &fixed_device,
-        &auth,
-        &RelayScanConfig::rotation_series(),
-        start,
-    ));
+    let fixed_rotation = RotationReport::from_series(&rotation_of(&fixed_device));
     println!(
         "\nforced-ingress scan: {} addresses, change rate {:.1}% \
          (open scan: {} addresses, {:.1}%) — behaviour unchanged",

@@ -25,6 +25,7 @@ use tectonic::core::report;
 use tectonic::core::rotation::RotationReport;
 use tectonic::dns::server::AuthoritativeServer;
 use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::engine::EngineConfig;
 use tectonic::geo::country::CountryCode;
 use tectonic::net::{Asn, Epoch, SimClock};
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode, Domain};
@@ -112,8 +113,18 @@ fn main() {
     // ------------------------------------------------------------ Atlas
     println!("\n=== R1/R2: Atlas validation and IPv6 enumeration ===");
     let atlas = AtlasSetup::build(&deployment, &PopulationConfig::paper(), 99);
-    let a_results =
-        atlas.run_mask_campaign(&deployment, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
+    let engine = EngineConfig::default();
+    let mask_campaign = |qtype, seed| {
+        atlas.run_mask_campaign_engine(
+            &[&auth],
+            Domain::MaskQuic,
+            qtype,
+            Epoch::Apr2022,
+            seed,
+            &engine,
+        )
+    };
+    let a_results = mask_campaign(QType::A, 1);
     let a_report = AtlasCampaignReport::aggregate(&deployment, &a_results);
     let atlas_in_ecs = a_report
         .v4_addresses
@@ -126,13 +137,7 @@ fn main() {
         atlas_in_ecs,
         april.total(),
     );
-    let aaaa_results = atlas.run_mask_campaign(
-        &deployment,
-        Domain::MaskQuic,
-        QType::AAAA,
-        Epoch::Apr2022,
-        2,
-    );
+    let aaaa_results = mask_campaign(QType::AAAA, 2);
     let aaaa_report = AtlasCampaignReport::aggregate(&deployment, &aaaa_results);
     println!(
         "Atlas AAAA: {} addresses (Apple {}, AkamaiPR {})",
@@ -154,7 +159,8 @@ fn main() {
         RData::A("93.184.216.34".parse().unwrap()),
     ));
     let control_auth = AuthoritativeServer::new().with_zone(control_zone);
-    let control_results = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 3);
+    let control_results =
+        atlas.run_control_campaign_engine(&[&control_auth], Epoch::Apr2022, 3, &engine);
     let is_ingress = |addr: std::net::IpAddr| deployment.fleets.is_ingress(addr);
     let blocking = survey(&a_results, &control_results, &is_ingress);
     print!("{}", report::render_blocking(&blocking));
@@ -171,25 +177,26 @@ fn main() {
     let fixed_device =
         deployment.vantage_device(CountryCode::DE, DnsMode::Fixed(forced), vantage_ops);
     let start = Epoch::May2022.start();
-    let open = RelayScanSeries::run(
-        &open_device,
-        &auth,
-        &RelayScanConfig::operator_series(),
-        start,
-    );
-    let fixed = RelayScanSeries::run(
-        &fixed_device,
-        &auth,
-        &RelayScanConfig::operator_series(),
-        start,
-    );
+    let series = |device, schedule: &RelayScanConfig, first_connection_id| {
+        RelayScanSeries::run_engine(
+            device,
+            &[&auth],
+            schedule,
+            start,
+            first_connection_id,
+            &engine,
+        )
+    };
+    let operator_schedule = RelayScanConfig::operator_series();
+    let open = series(&open_device, &operator_schedule, 0);
+    let fixed = series(&fixed_device, &operator_schedule, 0);
     print!("{}", report::render_fig3(&open, &fixed));
     save("fig3_operator_series.json", report::to_archive_json(&open));
-    let rotation_series = RelayScanSeries::run(
+    // The open device continues past the ids its operator series used.
+    let rotation_series = series(
         &open_device,
-        &auth,
         &RelayScanConfig::rotation_series(),
-        start,
+        2 * operator_schedule.rounds(),
     );
     let rotation = RotationReport::from_series(&rotation_series);
     print!("{}", report::render_rotation(&rotation));

@@ -25,6 +25,7 @@ use tectonic::core::qoe::{qoe_experiment, render_qoe};
 use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::core::report;
 use tectonic::core::rotation::RotationReport;
+use tectonic::engine::EngineConfig;
 use tectonic::geo::country::CountryCode;
 use tectonic::net::{Asn, Epoch, SimClock, SimDuration};
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode, Domain, LatencyModel};
@@ -57,11 +58,16 @@ impl Args {
         Args { values, flags }
     }
 
+    /// The value of `--key`, or `default` when absent; a value that does
+    /// not parse exits with the usage text.
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(value) = self.values.get(key) else {
+            return default;
+        };
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value for --{key}: {value}");
+            usage()
+        })
     }
 
     fn get_str(&self, key: &str, default: &str) -> String {
@@ -186,8 +192,20 @@ fn cmd_atlas(args: &Args) {
         atlas.probes.len(),
         atlas.public_resolver_share() * 100.0
     );
-    let a = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
-    let aaaa = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 2);
+    let auth = d.auth_server_unlimited();
+    let engine = EngineConfig::default();
+    let mask_campaign = |qtype, seed| {
+        atlas.run_mask_campaign_engine(
+            &[&auth],
+            Domain::MaskQuic,
+            qtype,
+            Epoch::Apr2022,
+            seed,
+            &engine,
+        )
+    };
+    let a = mask_campaign(QType::A, 1);
+    let aaaa = mask_campaign(QType::AAAA, 2);
     let a_report = AtlasCampaignReport::aggregate(&d, &a);
     let aaaa_report = AtlasCampaignReport::aggregate(&d, &aaaa);
     println!(
@@ -204,16 +222,31 @@ fn cmd_atlas(args: &Args) {
         RData::A(Ipv4Addr::new(93, 184, 216, 34)),
     ));
     let control_auth = AuthoritativeServer::new().with_zone(control_zone);
-    let control = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 3);
+    let control = atlas.run_control_campaign_engine(&[&control_auth], Epoch::Apr2022, 3, &engine);
     let blocking = survey(&a, &control, &|addr| d.fleets.is_ingress(addr));
     print!("{}", report::render_blocking(&blocking));
 }
 
 fn cmd_relay_scan(args: &Args) {
-    let d = build(args);
-    let auth = d.auth_server_unlimited();
     let interval: u64 = args.get("interval-secs", 300);
     let rounds: u64 = args.get("rounds", 288);
+    let start = Epoch::May2022.start();
+    // Every round, and the engine's one-interval lookahead past the last,
+    // must land on a representable instant.
+    let end_ms = rounds
+        .checked_add(1)
+        .and_then(|n| interval.checked_mul(n))
+        .and_then(|secs| secs.checked_mul(1000))
+        .and_then(|ms| ms.checked_add(start.as_millis()));
+    if interval == 0 || end_ms.is_none() {
+        eprintln!(
+            "invalid schedule: --interval-secs must be positive and \
+             --interval-secs × --rounds must fit the u64 millisecond clock"
+        );
+        usage();
+    }
+    let d = build(args);
+    let auth = d.auth_server_unlimited();
     let config = RelayScanConfig {
         interval: SimDuration::from_secs(interval),
         duration: SimDuration::from_secs(interval * rounds),
@@ -223,7 +256,14 @@ fn cmd_relay_scan(args: &Args) {
         DnsMode::Open,
         vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR],
     );
-    let series = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
+    let series = RelayScanSeries::run_engine(
+        &device,
+        &[&auth],
+        &config,
+        start,
+        0,
+        &EngineConfig::default(),
+    );
     println!(
         "{} rounds, {} failures, operators {:?}, {} operator changes",
         series.rounds.len(),
@@ -329,11 +369,5 @@ mod tests {
         assert_eq!(epoch_of_str("MAR"), Epoch::Mar2022);
         assert_eq!(epoch_of_str("nonsense"), Epoch::Apr2022);
         assert_eq!(epoch_of_str("may"), Epoch::May2022);
-    }
-
-    #[test]
-    fn bad_numbers_fall_back_to_default() {
-        let args = Args::parse(&argv("--scale banana"));
-        assert_eq!(args.get::<u64>("scale", 64), 64);
     }
 }

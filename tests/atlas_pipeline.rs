@@ -5,11 +5,13 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use tectonic::atlas::population::PopulationConfig;
+use tectonic::atlas::ProbeResult;
 use tectonic::core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
 use tectonic::core::blocking::{survey, ProbeVerdict};
 use tectonic::core::ecs_scan::EcsScanner;
 use tectonic::dns::server::AuthoritativeServer;
 use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::engine::EngineConfig;
 use tectonic::net::{Asn, Epoch, SimClock};
 use tectonic::relay::{Deployment, DeploymentConfig, Domain};
 
@@ -19,14 +21,27 @@ fn setup() -> (Deployment, AtlasSetup) {
     (d, atlas)
 }
 
-fn control_auth() -> AuthoritativeServer {
+fn mask_campaign(d: &Deployment, atlas: &AtlasSetup, qtype: QType, seed: u64) -> Vec<ProbeResult> {
+    let auth = d.auth_server_unlimited();
+    atlas.run_mask_campaign_engine(
+        &[&auth],
+        Domain::MaskQuic,
+        qtype,
+        Epoch::Apr2022,
+        seed,
+        &EngineConfig::default(),
+    )
+}
+
+fn control_campaign(atlas: &AtlasSetup, seed: u64) -> Vec<ProbeResult> {
     let mut zone = Zone::new("atlas-measurements.net".parse().unwrap());
     zone.add_record(Record::new(
         "control.atlas-measurements.net".parse().unwrap(),
         300,
         RData::A("93.184.216.34".parse().unwrap()),
     ));
-    AuthoritativeServer::new().with_zone(zone)
+    let auth = AuthoritativeServer::new().with_zone(zone);
+    atlas.run_control_campaign_engine(&[&auth], Epoch::Apr2022, seed, &EngineConfig::default())
 }
 
 #[test]
@@ -37,7 +52,7 @@ fn atlas_addresses_are_a_subset_of_the_ecs_scan() {
     let mut clock = SimClock::new(Epoch::Apr2022.start());
     let ecs = scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock);
 
-    let results = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
+    let results = mask_campaign(&d, &atlas, QType::A, 1);
     let report = AtlasCampaignReport::aggregate(&d, &results);
     let atlas_ingress: BTreeSet<Ipv4Addr> = report
         .v4_addresses
@@ -55,7 +70,7 @@ fn atlas_addresses_are_a_subset_of_the_ecs_scan() {
 #[test]
 fn ipv6_enumeration_shape() {
     let (d, atlas) = setup();
-    let results = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 2);
+    let results = mask_campaign(&d, &atlas, QType::AAAA, 2);
     let report = AtlasCampaignReport::aggregate(&d, &results);
     // The AS split mirrors the paper: Akamai PR hosts the lion's share.
     let apple = report.v6_count_for(Asn::APPLE);
@@ -78,8 +93,8 @@ fn ipv6_enumeration_shape() {
 #[test]
 fn blocking_survey_matches_configured_population() {
     let (d, atlas) = setup();
-    let mask = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 3);
-    let control = atlas.run_control_campaign(&control_auth(), Epoch::Apr2022, 4);
+    let mask = mask_campaign(&d, &atlas, QType::A, 3);
+    let control = control_campaign(&atlas, 4);
     let is_ingress = |addr: std::net::IpAddr| d.fleets.is_ingress(addr);
     let report = survey(&mask, &control, &is_ingress);
     // Shares within the paper's neighbourhood.
@@ -106,8 +121,8 @@ fn blocking_survey_matches_configured_population() {
 #[test]
 fn classification_consistency_with_probe_policies() {
     let (d, atlas) = setup();
-    let mask = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 6);
-    let control = atlas.run_control_campaign(&control_auth(), Epoch::Apr2022, 7);
+    let mask = mask_campaign(&d, &atlas, QType::A, 6);
+    let control = control_campaign(&atlas, 7);
     let is_ingress = |addr: std::net::IpAddr| d.fleets.is_ingress(addr);
     // Re-classify each probe and compare against its configured policy.
     let control_by_id: std::collections::HashMap<u32, _> = control

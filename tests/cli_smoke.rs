@@ -169,6 +169,26 @@ fn lint_sarif_unwritable_path_fails() {
     );
 }
 
+/// An overflowing schedule, an unparsable count and a zero interval each
+/// exit 2 with the usage text: no panic, no silent default.
+#[test]
+fn relay_scan_rejects_bad_option_values() {
+    for bad in [
+        ["--interval-secs", "18446744073709551", "--rounds", "2"],
+        ["--interval-secs", "300", "--rounds", "abc"],
+        ["--interval-secs", "0", "--rounds", "2"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_tectonic"))
+            .arg("relay-scan")
+            .args(bad)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bad:?}: {stderr}");
+    }
+}
+
 #[test]
 fn unknown_subcommand_fails_with_usage() {
     let (_, stderr, ok) = run(&["frobnicate"]);
