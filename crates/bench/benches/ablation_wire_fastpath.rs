@@ -1,5 +1,5 @@
-//! Ablation — the zero-allocation wire fast path against the general
-//! per-query encoder.
+//! Ablation — the wire fast path (allocation-free query encoding)
+//! against the general per-query encoder.
 //!
 //! The ECS scan sends one near-identical query per routed /24 (~11 M at
 //! Internet scale), so per-query constant factors dominate the simulated

@@ -239,11 +239,14 @@ pub struct EcsScanner {
 
 /// Per-scan (or per-worker) reusable buffers and memo state.
 ///
-/// Holding these across the whole subnet loop is what makes the hot path
-/// allocation-free: each query is patched in place in a pre-encoded
-/// template, the reply lands in a reused buffer, a reply's answers are
-/// attributed with one batched RIB lookup, and the client-AS lookups for
-/// consecutive subnets hit a one-entry memo.
+/// Holding these across the whole subnet loop keeps the scanner's own side
+/// of each query free of allocation: the query is patched in place in a
+/// pre-encoded template, the reply lands in a reused buffer, a reply's
+/// answers are attributed with one batched RIB lookup, the client-AS
+/// lookups for consecutive subnets hit a one-entry memo, and a prefix is
+/// stringified only the first time it is seen. What still allocates per
+/// query is the server's reply synthesis and the reply decode (see
+/// [`EcsScanner::attempt_query`]).
 struct ScanScratch {
     /// The next query's ID (wraps; seeded to match the historical scanner).
     query_id: u16,
@@ -267,6 +270,10 @@ struct ScanScratch {
     /// Memo for client-AS lookups — subnets arrive in ascending order, so
     /// consecutive /24s almost always share the announced client prefix.
     client_memo: LookupMemo,
+    /// Ingress prefixes already recorded in the report's
+    /// `ingress_prefixes`, so each is stringified once per scan rather
+    /// than once per attributed answer.
+    seen_prefixes: BTreeSet<IpNet>,
 }
 
 /// What one ECS query attempt produced.
@@ -296,6 +303,7 @@ impl ScanScratch {
             batch_out: Vec::new(),
             lpm_scratch: BatchScratch::new(),
             client_memo: LookupMemo::new(),
+            seen_prefixes: BTreeSet::new(),
         }
     }
 }
@@ -361,8 +369,12 @@ impl EcsScanner {
     /// On the fast path the query is the scratch template with five bytes
     /// patched; otherwise it is rebuilt through the reusable encoder. The
     /// reply is written into the scratch buffer via
-    /// [`NameServer::handle_query_into`] — the steady state allocates only
-    /// inside message *decoding*.
+    /// [`NameServer::handle_query_into`]. Encoding allocates nothing; the
+    /// server's decode → resolve → encode and the reply decode do, about
+    /// 11 heap allocations per query together (7 server-side, 4 for the
+    /// reply's section vectors and its one question name — its answer
+    /// names are pointers to that name and share it). `tests/scan_allocations.rs`
+    /// bounds the total.
     fn attempt_query(
         &self,
         domain: &DomainName,
@@ -462,8 +474,6 @@ impl EcsScanner {
                 }
             }
         }
-        let answers = response.a_answers();
-        let mut seen_ops: BTreeSet<Asn> = BTreeSet::new();
         let scope_credit = {
             let scope = response
                 .edns
@@ -478,21 +488,35 @@ impl EcsScanner {
             }
         };
         scratch.addr_batch.clear();
-        scratch
-            .addr_batch
-            .extend(answers.iter().map(|a| IpAddr::V4(*a)));
+        scratch.addr_batch.extend(
+            response
+                .answers
+                .iter()
+                .filter_map(|r| r.rdata.as_a())
+                .map(IpAddr::V4),
+        );
         rib.lookup_batch_in(
             &mut scratch.lpm_scratch,
             &scratch.addr_batch,
             &mut scratch.batch_out,
         );
-        for (addr, hit) in answers.iter().zip(&scratch.batch_out) {
-            report.discovered.insert(*addr);
-            *report.subnets_served.entry(*addr).or_insert(0) += scope_credit;
+        // Which serving operators answered: each is credited once per
+        // reply, however many of its addresses the reply carries.
+        let mut served_by_apple = false;
+        let mut served_by_akamai = false;
+        for (addr, hit) in scratch.addr_batch.iter().zip(&scratch.batch_out) {
+            let IpAddr::V4(addr) = *addr else {
+                continue;
+            };
+            report.discovered.insert(addr);
+            *report.subnets_served.entry(addr).or_insert(0) += scope_credit;
             if let Some((prefix, asn)) = hit {
-                report.by_ingress_as.entry(*asn).or_default().insert(*addr);
-                report.ingress_prefixes.insert(prefix.to_string());
-                seen_ops.insert(*asn);
+                report.by_ingress_as.entry(*asn).or_default().insert(addr);
+                if scratch.seen_prefixes.insert(*prefix) {
+                    report.ingress_prefixes.insert(prefix.to_string());
+                }
+                served_by_apple |= *asn == Asn::APPLE;
+                served_by_akamai |= *asn == Asn::AKAMAI_PR;
             }
         }
         if let Some((_, client_asn)) =
@@ -506,12 +530,11 @@ impl EcsScanner {
                 // scanner will skip them (the paper reports Table 2 at
                 // full /24 granularity).
                 let entry = report.per_client_as.entry(client_asn).or_default();
-                for op in seen_ops {
-                    match op {
-                        Asn::APPLE => entry.apple_subnets += scope_credit,
-                        Asn::AKAMAI_PR => entry.akamai_subnets += scope_credit,
-                        _ => {}
-                    }
+                if served_by_apple {
+                    entry.apple_subnets += scope_credit;
+                }
+                if served_by_akamai {
+                    entry.akamai_subnets += scope_credit;
                 }
             }
         }

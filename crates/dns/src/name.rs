@@ -1,14 +1,19 @@
 //! Domain names.
 //!
-//! [`DomainName`] stores a fully-qualified name as a sequence of labels with
-//! RFC 1035 limits enforced at construction (labels ≤ 63 octets, total
-//! encoded length ≤ 255). Comparison and hashing are ASCII-case-insensitive,
+//! [`DomainName`] stores a fully-qualified name as one immutable shared
+//! buffer: the dotted spelling (original case, no trailing dot) behind an
+//! `Arc<str>`, or nothing at all for the root. RFC 1035 limits are enforced
+//! at construction (labels 1–63 octets without `.` or NUL, total encoded
+//! length ≤ 255), so a `.` in the buffer always separates labels. Cloning
+//! bumps a reference count, building a name costs one allocation, and the
+//! root costs none. Comparison and hashing are ASCII-case-insensitive,
 //! matching resolver behaviour; the original spelling is preserved for
 //! display.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,18 +37,97 @@ impl fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
+/// Longest dotted spelling a valid name can have: 255 encoded octets minus
+/// the first length byte and the root byte.
+const MAX_DOTTED: usize = 253;
+
 /// A fully-qualified domain name.
 #[derive(Clone, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct DomainName {
-    labels: Vec<String>,
+    /// The dotted spelling in its original case; `None` is the root.
+    text: Option<Arc<str>>,
+}
+
+/// Accumulates validated labels into a stack buffer, so a name is built
+/// with exactly one heap allocation (the final `Arc<str>`).
+///
+/// Validation matches collecting every label first and checking them in
+/// order: the first bad label is the error, and only a name whose labels
+/// are all valid can fail with [`NameError::TooLong`].
+pub(crate) struct NameBuilder {
+    buf: [u8; MAX_DOTTED],
+    /// Bytes of `buf` in use.
+    len: usize,
+    /// Encoded length so far, root byte included.
+    encoded_len: usize,
+    /// The first invalid label seen.
+    error: Option<NameError>,
+}
+
+impl NameBuilder {
+    pub(crate) fn new() -> NameBuilder {
+        NameBuilder {
+            buf: [0; MAX_DOTTED],
+            len: 0,
+            encoded_len: 1,
+            error: None,
+        }
+    }
+
+    /// Appends `label` (the next label to the right).
+    pub(crate) fn push_label(&mut self, label: &str) {
+        if self.error.is_some() {
+            return;
+        }
+        if label.is_empty() || label.len() > 63 || label.bytes().any(|b| b == b'.' || b == 0) {
+            self.error = Some(NameError::BadLabel(label.to_string()));
+            return;
+        }
+        self.encoded_len = self.encoded_len.saturating_add(1 + label.len());
+        if self.encoded_len > 255 {
+            // Too long; keep validating the remaining labels, copy nothing.
+            return;
+        }
+        let sep = usize::from(self.len > 0);
+        let start = self.len + sep;
+        let end = start + label.len();
+        if let Some(dot) = self.buf.get_mut(self.len..start) {
+            dot.fill(b'.');
+        }
+        if let Some(dst) = self.buf.get_mut(start..end) {
+            dst.copy_from_slice(label.as_bytes());
+        }
+        self.len = end;
+    }
+
+    pub(crate) fn into_name(self) -> Result<DomainName, NameError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if self.encoded_len > 255 {
+            return Err(NameError::TooLong);
+        }
+        if self.len == 0 {
+            return Ok(DomainName::root());
+        }
+        // The buffer holds whole `&str` labels joined by '.', so it is
+        // UTF-8; the error arm is unreachable and kept only to stay total.
+        let text = self
+            .buf
+            .get(..self.len)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or(NameError::TooLong)?;
+        Ok(DomainName {
+            text: Some(Arc::from(text)),
+        })
+    }
 }
 
 impl DomainName {
-    /// The root name (zero labels).
+    /// The root name (zero labels). Allocation-free.
     pub fn root() -> Self {
-        // lintkit: allow(alloc-in-hot-path) -- Vec::new is a zero-capacity constructor and performs no heap allocation
-        DomainName { labels: Vec::new() }
+        DomainName { text: None }
     }
 
     /// Parses a compile-time name literal, panicking on invalid input.
@@ -60,23 +144,13 @@ impl DomainName {
     pub fn from_labels<I, S>(labels: I) -> Result<Self, NameError>
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        let labels: Vec<String> = labels.into_iter().map(Into::into).collect();
-        let mut encoded_len = 1; // trailing root byte
-        for l in &labels {
-            if l.is_empty() || l.len() > 63 {
-                return Err(NameError::BadLabel(l.clone()));
-            }
-            if l.bytes().any(|b| b == b'.' || b == 0) {
-                return Err(NameError::BadLabel(l.clone()));
-            }
-            encoded_len += 1 + l.len();
+        let mut builder = NameBuilder::new();
+        for label in labels {
+            builder.push_label(label.as_ref());
         }
-        if encoded_len > 255 {
-            return Err(NameError::TooLong);
-        }
-        Ok(DomainName { labels })
+        builder.into_name()
     }
 
     /// Parses dotted notation; a single trailing dot is accepted. `"."`
@@ -89,90 +163,101 @@ impl DomainName {
         DomainName::from_labels(trimmed.split('.'))
     }
 
+    /// The dotted spelling in its original case, without a trailing dot;
+    /// empty for the root.
+    pub(crate) fn dotted(&self) -> &str {
+        self.text.as_deref().unwrap_or("")
+    }
+
     /// The labels, leftmost (host) first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> + '_ {
+        self.text.as_deref().into_iter().flat_map(|t| t.split('.'))
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        match &self.text {
+            Some(t) => 1 + t.bytes().filter(|b| *b == b'.').count(),
+            None => 0,
+        }
     }
 
     /// `true` for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.text.is_none()
     }
 
-    /// Length of the RFC 1035 wire encoding in octets (including root byte).
+    /// Length of the RFC 1035 wire encoding in octets (including root byte):
+    /// one length byte per label in place of each `.`, plus the first
+    /// length byte and the root byte.
     pub fn encoded_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        match &self.text {
+            Some(t) => t.len() + 2,
+            None => 1,
+        }
     }
 
     /// The parent name (one label stripped), or `None` at the root.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let t = self.text.as_deref()?;
+        Some(match t.split_once('.') {
+            Some((_, rest)) => DomainName {
+                text: Some(Arc::from(rest)),
+            },
+            None => DomainName::root(),
+        })
     }
 
     /// Whether `self` equals `zone` or lies underneath it
     /// (`mask.icloud.com` is within `icloud.com`).
     pub fn is_within(&self, zone: &DomainName) -> bool {
-        if zone.labels.len() > self.labels.len() {
+        let Some(apex) = zone.text.as_deref() else {
+            return true;
+        };
+        let name = self.dotted().as_bytes();
+        let Some(cut) = name.len().checked_sub(apex.len()) else {
             return false;
-        }
-        self.labels
-            .iter()
-            .rev()
-            .zip(zone.labels.iter().rev())
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        };
+        let (head, tail) = name.split_at(cut);
+        tail.eq_ignore_ascii_case(apex.as_bytes()) && (head.is_empty() || head.ends_with(b"."))
     }
 
     /// Prepends a label, e.g. `"mask"` + `icloud.com` → `mask.icloud.com`.
     pub fn prepend(&self, label: &str) -> Result<DomainName, NameError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_string());
-        labels.extend(self.labels.iter().cloned());
-        DomainName::from_labels(labels)
+        DomainName::from_labels(std::iter::once(label).chain(self.labels()))
     }
 
     /// Lower-cased dotted representation without trailing dot (root → `"."`).
     pub fn to_ascii_lower(&self) -> String {
-        if self.labels.is_empty() {
-            ".".to_string()
-        } else {
-            self.labels
-                .iter()
-                .map(|l| l.to_ascii_lowercase())
-                .collect::<Vec<_>>()
-                .join(".")
+        match &self.text {
+            Some(t) => t.to_ascii_lowercase(),
+            None => ".".to_string(),
         }
+    }
+
+    /// The bytes [`DomainName::to_ascii_lower`] renders, without building
+    /// a `String`.
+    fn dotted_lower_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let text = self.text.as_deref().unwrap_or(".");
+        text.bytes().map(|b| b.to_ascii_lowercase())
     }
 }
 
 impl PartialEq for DomainName {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        self.dotted().eq_ignore_ascii_case(other.dotted())
     }
 }
 
 impl Eq for DomainName {}
 
 impl Hash for DomainName {
+    /// Feeds each label's lower-cased bytes followed by a 0 byte (nothing
+    /// for the root), so names equal up to ASCII case hash equal.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for b in l.bytes() {
-                state.write_u8(b.to_ascii_lowercase());
+        if let Some(t) = &self.text {
+            for b in t.bytes() {
+                state.write_u8(if b == b'.' { 0 } else { b.to_ascii_lowercase() });
             }
             state.write_u8(0);
         }
@@ -190,29 +275,13 @@ impl Ord for DomainName {
     /// comparing [`DomainName::to_ascii_lower`] strings produced — computed
     /// lazily so trie lookups on the hot path never allocate.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        dotted_lower_bytes(&self.labels).cmp(dotted_lower_bytes(&other.labels))
+        self.dotted_lower_bytes().cmp(other.dotted_lower_bytes())
     }
-}
-
-/// The byte stream `to_ascii_lower` would render (root is `"."`, other
-/// names are labels joined by `'.'`), yielded without building a `String`.
-fn dotted_lower_bytes(labels: &[String]) -> impl Iterator<Item = u8> + '_ {
-    let root = if labels.is_empty() { Some(b'.') } else { None };
-    root.into_iter()
-        .chain(labels.iter().enumerate().flat_map(|(i, l)| {
-            let sep = if i == 0 { None } else { Some(b'.') };
-            sep.into_iter()
-                .chain(l.bytes().map(|b| b.to_ascii_lowercase()))
-        }))
 }
 
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            write!(f, ".")
-        } else {
-            write!(f, "{}", self.labels.join("."))
-        }
+        f.write_str(self.text.as_deref().unwrap_or("."))
     }
 }
 
@@ -266,7 +335,7 @@ mod tests {
     fn parse_basic() {
         let n = DomainName::parse("mask.icloud.com").unwrap();
         assert_eq!(n.label_count(), 3);
-        assert_eq!(n.labels()[0], "mask");
+        assert_eq!(n.labels().next(), Some("mask"));
         assert_eq!(n.to_string(), "mask.icloud.com");
     }
 

@@ -12,7 +12,7 @@ use bytes::{Buf, BufMut, BytesMut};
 
 use crate::edns::{EcsOption, EdnsOption, OptRecord};
 use crate::message::{Flags, Message, QClass, QType, Question, RData, Rcode, Record};
-use crate::name::DomainName;
+use crate::name::{DomainName, NameBuilder};
 
 /// Errors from the wire codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,14 +83,19 @@ impl MessageEncoder {
         let mut sink = Sink {
             buf: out,
             label_offsets: &mut self.label_offsets,
+            last_name: None,
         };
         sink.put_message(m);
     }
 }
 
-/// Compares the name suffix `labels` against the (possibly compressed) name
-/// encoded in `buf` at `off`, case-insensitively.
-fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
+/// Compares the dotted name suffix `suffix` (one or more labels joined by
+/// `.`) against the (possibly compressed) name encoded in `buf` at `off`,
+/// case-insensitively. Labels are matched as byte slices of the suffix, so
+/// no per-label strings are built.
+fn suffix_matches_at(buf: &[u8], mut off: usize, suffix: &[u8]) -> bool {
+    // Position in `suffix` of the next label to match; one past the end
+    // once every label has matched.
     let mut idx = 0;
     let mut jumps = 0;
     loop {
@@ -98,7 +103,7 @@ fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
         // the end of the buffer (its terminator is not written yet); such an
         // incomplete name never matches, mirroring the string-keyed map that
         // only ever held distinct full suffixes.
-        let Some(len) = buf.get(off).map(|b| *b as usize) else {
+        let Some(len) = buf.get(off).map(|b| usize::from(*b)) else {
             return false;
         };
         if len & 0xC0 == 0xC0 {
@@ -110,24 +115,27 @@ fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
                 return false;
             }
             jumps += 1;
-            off = ((len & 0x3F) << 8) | lo as usize;
+            off = ((len & 0x3F) << 8) | usize::from(lo);
             continue;
         }
         if len == 0 {
-            return idx == labels.len();
+            return idx > suffix.len();
         }
-        let Some(label) = labels.get(idx) else {
+        let start = off.saturating_add(1);
+        let end = start.saturating_add(len);
+        let label_end = idx.saturating_add(len);
+        let (Some(written), Some(label)) = (buf.get(start..end), suffix.get(idx..label_end)) else {
             return false;
         };
-        let label = label.as_bytes();
-        if off + 1 + len > buf.len()
-            || label.len() != len
-            || !buf[off + 1..off + 1 + len].eq_ignore_ascii_case(label)
+        // The suffix label must end exactly here: at a separator or at the
+        // end of the suffix.
+        if !matches!(suffix.get(label_end), None | Some(b'.'))
+            || !written.eq_ignore_ascii_case(label)
         {
             return false;
         }
-        idx += 1;
-        off = off.saturating_add(len).saturating_add(1);
+        idx = label_end.saturating_add(1);
+        off = end;
     }
 }
 
@@ -138,12 +146,19 @@ fn count16(n: usize) -> u16 {
     u16::try_from(n).unwrap_or(u16::MAX)
 }
 
-struct Sink<'a> {
+struct Sink<'a, 'm> {
     buf: &'a mut BytesMut,
     label_offsets: &'a mut Vec<u16>,
+    /// The dotted buffer of the last non-root name written and the offset
+    /// a full-name pointer to it targets. Clones of one `DomainName` share
+    /// that buffer, so a reply whose answers all repeat the question name
+    /// emits each pointer without a suffix search. The search would return
+    /// the same offset: it is the first recorded offset matching the name,
+    /// and bytes behind recorded offsets never change.
+    last_name: Option<(&'m str, u16)>,
 }
 
-impl Sink<'_> {
+impl<'m> Sink<'_, 'm> {
     /// Overwrites the two bytes at `pos` with `v` big-endian — the second
     /// half of the reserve-then-backpatch length pattern. `pos` was
     /// produced by an earlier `buf.len()`, so the range is in bounds; the
@@ -155,23 +170,45 @@ impl Sink<'_> {
         }
     }
 
-    /// The first recorded offset whose encoded suffix equals `labels`.
+    /// The first recorded offset whose encoded suffix equals `suffix`.
     ///
     /// Each distinct suffix is written literally at most once (later
     /// occurrences compress to pointers), so "first match in insertion
     /// order" reproduces the first-occurrence offsets the old string-keyed
     /// map produced — output stays byte-identical.
-    fn find_suffix(&self, labels: &[String]) -> Option<u16> {
-        self.label_offsets
+    ///
+    /// Every recorded offset holds a literal length byte, so a candidate
+    /// whose first label has the wrong length is rejected on that byte.
+    fn find_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        let first_len = suffix
             .iter()
-            .copied()
-            .find(|&off| suffix_matches_at(self.buf, off as usize, labels))
+            .position(|b| *b == b'.')
+            .unwrap_or(suffix.len());
+        self.label_offsets.iter().copied().find(|&off| {
+            let off = usize::from(off);
+            self.buf.get(off).map(|b| usize::from(*b)) == Some(first_len)
+                && suffix_matches_at(self.buf, off, suffix)
+        })
     }
 
-    fn put_name(&mut self, name: &DomainName) {
-        let labels = name.labels();
-        for (i, label) in labels.iter().enumerate() {
-            if let Some(off) = self.find_suffix(&labels[i..]) {
+    /// Writes `name`, compressing its longest already-written suffix into
+    /// a pointer. Walks the shared dotted spelling label by label without
+    /// allocating.
+    fn put_name(&mut self, name: &'m DomainName) {
+        let dotted = name.dotted();
+        if let Some((last, off)) = self.last_name {
+            if std::ptr::eq(last, dotted) {
+                self.buf.put_u16(0xC000 | off);
+                return;
+            }
+        }
+        let mut rest = dotted.as_bytes();
+        let mut first = true;
+        while !rest.is_empty() {
+            if let Some(off) = self.find_suffix(rest) {
+                if first {
+                    self.last_name = Some((dotted, off));
+                }
                 self.buf.put_u16(0xC000 | off);
                 return;
             }
@@ -180,22 +217,34 @@ impl Sink<'_> {
             if let Ok(off) = u16::try_from(self.buf.len()) {
                 if off <= 0x3FFF {
                     self.label_offsets.push(off);
+                    if first {
+                        self.last_name = Some((dotted, off));
+                    }
                 }
             }
+            first = false;
+            let (label, tail) = match rest.iter().position(|b| *b == b'.') {
+                Some(dot) => (
+                    rest.get(..dot).unwrap_or_default(),
+                    rest.get(dot.saturating_add(1)..).unwrap_or_default(),
+                ),
+                None => (rest, &[] as &[u8]),
+            };
             // lintkit: allow(narrowing-cast) -- DomainName labels are ≤ 63 bytes by construction
             self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+            self.buf.put_slice(label);
+            rest = tail;
         }
         self.buf.put_u8(0);
     }
 
-    fn put_question(&mut self, q: &Question) {
+    fn put_question(&mut self, q: &'m Question) {
         self.put_name(&q.name);
         self.buf.put_u16(q.qtype.number());
         self.buf.put_u16(q.qclass.number());
     }
 
-    fn put_record(&mut self, r: &Record) {
+    fn put_record(&mut self, r: &'m Record) {
         self.put_name(&r.name);
         self.buf.put_u16(r.rdata.rtype().number());
         self.buf.put_u16(r.class.number());
@@ -270,7 +319,7 @@ impl Sink<'_> {
         self.patch_u16(len_pos, rdlen);
     }
 
-    fn put_message(&mut self, m: &Message) {
+    fn put_message(&mut self, m: &'m Message) {
         self.buf.put_u16(m.id);
         let mut b1: u8 = 0;
         if m.flags.qr {
@@ -331,14 +380,73 @@ pub fn encode_message_into(m: &Message, out: &mut BytesMut) {
 
 // ---------------------------------------------------------------- decoding
 
+/// How many decoded names one message keeps for pointer reuse. A scan
+/// reply has one (the question name its answers all point at); the rest
+/// cover CNAME chains and referrals.
+const NAME_CACHE: usize = 8;
+
+/// Names decoded so far in one message, keyed by the offset their
+/// encoding starts at, so a later name that is a single compression
+/// pointer to one of them is a reference-count bump instead of a decode.
+#[derive(Default)]
+struct NameCache {
+    slots: [Option<CachedName>; NAME_CACHE],
+    /// Slots filled; further names are decoded but not remembered.
+    len: usize,
+}
+
+struct CachedName {
+    /// Message offset the name's encoding starts at.
+    offset: usize,
+    /// Pointer jumps its decode followed (the chain-depth cap applies to a
+    /// name reached through it too).
+    jumps: u32,
+    name: DomainName,
+}
+
+impl NameCache {
+    fn find_at(&self, offset: usize) -> Option<&CachedName> {
+        self.slots.iter().flatten().find(|c| c.offset == offset)
+    }
+
+    fn remember(&mut self, offset: usize, jumps: u32, name: &DomainName) {
+        if let Some(slot) = self.slots.get_mut(self.len) {
+            *slot = Some(CachedName {
+                offset,
+                jumps,
+                name: name.clone(),
+            });
+            self.len = self.len.saturating_add(1);
+        }
+    }
+}
+
 struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
+    names: NameCache,
 }
 
 impl<'a> Decoder<'a> {
+    fn new(data: &'a [u8]) -> Decoder<'a> {
+        Decoder {
+            data,
+            pos: 0,
+            names: NameCache::default(),
+        }
+    }
+
     fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
+    }
+
+    /// An empty vector for `count` items of at least `min_item_len` wire
+    /// bytes each. Header counts are untrusted, so it reserves no more
+    /// items than the bytes left could hold: a 12-byte message claiming
+    /// 65 535 records reserves nothing.
+    fn section_vec<T>(&self, count: u16, min_item_len: usize) -> Vec<T> {
+        let room = self.remaining().checked_div(min_item_len).unwrap_or(0);
+        Vec::with_capacity(usize::from(count).min(room))
     }
 
     fn take_u8(&mut self) -> Result<u8, DnsWireError> {
@@ -376,11 +484,16 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a possibly-compressed name starting at the cursor.
+    ///
+    /// Labels are validated into a stack buffer and the name is built with
+    /// one allocation. A name that is a single pointer to the start of a
+    /// name already decoded in this message reuses that name.
     fn take_name(&mut self) -> Result<DomainName, DnsWireError> {
-        let mut labels: Vec<String> = Vec::new();
+        let start = self.pos;
+        let mut builder = NameBuilder::new();
         let mut pos = self.pos;
         let mut jumped = false;
-        let mut jumps = 0;
+        let mut jumps: u32 = 0;
         loop {
             let Some(&len) = self.data.get(pos) else {
                 return Err(DnsWireError::Truncated);
@@ -410,24 +523,37 @@ impl<'a> Decoder<'a> {
                     if jumps > 16 {
                         return Err(DnsWireError::BadPointer);
                     }
+                    // A name that is nothing but this pointer.
+                    if pos == start {
+                        if let Some(hit) = self.names.find_at(target) {
+                            // Decoding from `target` again would follow the
+                            // same bytes, so the outcome is the cached name
+                            // unless the longer chain breaks the depth cap.
+                            if hit.jumps.saturating_add(jumps) > 16 {
+                                return Err(DnsWireError::BadPointer);
+                            }
+                            return Ok(hit.name.clone());
+                        }
+                    }
                     pos = target;
                     jumped = true;
                 }
                 l if l & 0xC0 != 0 => return Err(DnsWireError::BadName),
                 l => {
                     let l = l as usize;
-                    let start = pos.saturating_add(1);
-                    let end = start.saturating_add(l);
-                    let Some(bytes) = self.data.get(start..end) else {
+                    let label_start = pos.saturating_add(1);
+                    let end = label_start.saturating_add(l);
+                    let Some(bytes) = self.data.get(label_start..end) else {
                         return Err(DnsWireError::Truncated);
                     };
-                    let label = String::from_utf8_lossy(bytes).into_owned();
-                    labels.push(label);
+                    builder.push_label(&String::from_utf8_lossy(bytes));
                     pos = end;
                 }
             }
         }
-        DomainName::from_labels(labels).map_err(|_| DnsWireError::BadName)
+        let name = builder.into_name().map_err(|_| DnsWireError::BadName)?;
+        self.names.remember(start, jumps, &name);
+        Ok(name)
     }
 
     fn take_question(&mut self) -> Result<Question, DnsWireError> {
@@ -452,13 +578,9 @@ impl<'a> Decoder<'a> {
             if !name.is_root() {
                 return Err(DnsWireError::BadOpt);
             }
-            let rdata_start = self.pos;
             let rdata = self.take_slice(rdlen)?;
             let mut options = Vec::new();
-            let mut od = Decoder {
-                data: rdata,
-                pos: 0,
-            };
+            let mut od = Decoder::new(rdata);
             while od.remaining() >= 4 {
                 let code = od.take_u16()?;
                 let len = od.take_u16()? as usize;
@@ -477,7 +599,6 @@ impl<'a> Decoder<'a> {
                 return Err(DnsWireError::BadOpt);
             }
             let [ext_rcode, version, _, _] = ttl.to_be_bytes();
-            let _ = rdata_start;
             return Ok(DecodedRecord::Opt(OptRecord {
                 udp_size: class_num,
                 ext_rcode,
@@ -502,19 +623,19 @@ impl<'a> Decoder<'a> {
             }
             QType::CNAME | QType::NS | QType::PTR | QType::SOA => {
                 // Names inside rdata may use compression into the whole
-                // message, so re-decode from the message with a sub-cursor.
-                let mut sub = Decoder {
-                    data: self.data,
-                    pos: rdata_bytes_start,
-                };
-                match rtype {
-                    QType::CNAME => RData::Cname(sub.take_name()?),
-                    QType::NS => RData::Ns(sub.take_name()?),
-                    QType::PTR => RData::Ptr(sub.take_name()?),
+                // message, so re-decode them from the rdata start with the
+                // message cursor (sharing its name cache), then resume
+                // after the rdata.
+                let after = self.pos;
+                self.pos = rdata_bytes_start;
+                let rdata = match rtype {
+                    QType::CNAME => RData::Cname(self.take_name()?),
+                    QType::NS => RData::Ns(self.take_name()?),
+                    QType::PTR => RData::Ptr(self.take_name()?),
                     QType::SOA => {
-                        let mname = sub.take_name()?;
-                        let rname = sub.take_name()?;
-                        let serial = sub.take_u32()?;
+                        let mname = self.take_name()?;
+                        let rname = self.take_name()?;
+                        let serial = self.take_u32()?;
                         RData::Soa {
                             mname,
                             rname,
@@ -524,14 +645,13 @@ impl<'a> Decoder<'a> {
                     // The outer match arm admits only the four types above;
                     // erring (not panicking) keeps a hostile rtype harmless.
                     _ => return Err(DnsWireError::BadRdata(rtype)),
-                }
+                };
+                self.pos = after;
+                rdata
             }
             QType::TXT => {
                 let mut s = String::new();
-                let mut td = Decoder {
-                    data: rdata_slice,
-                    pos: 0,
-                };
+                let mut td = Decoder::new(rdata_slice);
                 while td.remaining() > 0 {
                     let l = td.take_u8()? as usize;
                     let chunk = td.take_slice(l)?;
@@ -550,6 +670,13 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Smallest wire size of a question: a root name plus QTYPE and QCLASS.
+const MIN_QUESTION_LEN: usize = 5;
+
+/// Smallest wire size of a resource record: a root name plus TYPE, CLASS,
+/// TTL and RDLENGTH.
+const MIN_RECORD_LEN: usize = 11;
+
 enum DecodedRecord {
     Plain(Record),
     Opt(OptRecord),
@@ -557,7 +684,7 @@ enum DecodedRecord {
 
 /// Decodes a wire message. Rejects trailing bytes and duplicate OPT records.
 pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
-    let mut d = Decoder { data, pos: 0 };
+    let mut d = Decoder::new(data);
     let id = d.take_u16()?;
     let b1 = d.take_u8()?;
     let b2 = d.take_u8()?;
@@ -573,18 +700,18 @@ pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
     let ancount = d.take_u16()?;
     let nscount = d.take_u16()?;
     let arcount = d.take_u16()?;
-    let mut questions = Vec::with_capacity(qdcount as usize);
+    let mut questions = d.section_vec(qdcount, MIN_QUESTION_LEN);
     for _ in 0..qdcount {
         questions.push(d.take_question()?);
     }
-    let mut answers = Vec::with_capacity(ancount as usize);
+    let mut answers = d.section_vec(ancount, MIN_RECORD_LEN);
     for _ in 0..ancount {
         match d.take_record()? {
             DecodedRecord::Plain(r) => answers.push(r),
             DecodedRecord::Opt(_) => return Err(DnsWireError::BadOpt),
         }
     }
-    let mut authority = Vec::with_capacity(nscount as usize);
+    let mut authority = d.section_vec(nscount, MIN_RECORD_LEN);
     for _ in 0..nscount {
         match d.take_record()? {
             DecodedRecord::Plain(r) => authority.push(r),
@@ -843,6 +970,85 @@ mod tests {
         let q = Message::query(1, name.clone(), QType::A);
         let back = round_trip(&q);
         assert_eq!(back.question().unwrap().name.to_string(), "MaSk.iCloud.Com");
+    }
+
+    #[test]
+    fn header_counts_do_not_drive_preallocation() {
+        // Twelve header bytes claiming 65 535 entries in every section.
+        let header = [
+            0, 1, 0x80, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        ];
+        assert_eq!(decode_message(&header), Err(DnsWireError::Truncated));
+        let mut d = Decoder::new(&header);
+        d.pos = header.len();
+        assert_eq!(
+            d.section_vec::<Question>(u16::MAX, MIN_QUESTION_LEN)
+                .capacity(),
+            0
+        );
+        assert_eq!(
+            d.section_vec::<Record>(u16::MAX, MIN_RECORD_LEN).capacity(),
+            0
+        );
+        // 23 bytes left hold at most four questions or two records.
+        let tail = [0u8; 35];
+        let mut d = Decoder::new(&tail);
+        d.pos = 12;
+        assert!(
+            d.section_vec::<Question>(u16::MAX, MIN_QUESTION_LEN)
+                .capacity()
+                <= 4
+        );
+        assert!(d.section_vec::<Record>(u16::MAX, MIN_RECORD_LEN).capacity() <= 2);
+        // Honest counts still decode.
+        let q = Message::query(10, mask_domain(), QType::A);
+        assert_eq!(round_trip(&q), q);
+    }
+
+    /// A reply whose answers all point at the question name decodes the
+    /// name once and shares it; the result equals decoding the same reply
+    /// written without compression.
+    #[test]
+    fn pointer_answers_share_the_question_name() {
+        let name: DomainName = "MaSk.iCloud.Com".parse().unwrap();
+        let q = Message::query(11, name.clone(), QType::A);
+        let mut r = q.response_to(Rcode::NoError);
+        for i in 0..8 {
+            r.answers.push(Record::new(
+                name.clone(),
+                60,
+                RData::A(Ipv4Addr::new(17, 0, 0, i)),
+            ));
+        }
+        let back = round_trip(&r);
+        assert_eq!(back, r);
+        for rec in &back.answers {
+            assert_eq!(rec.name.to_string(), "MaSk.iCloud.Com");
+        }
+    }
+
+    /// Pointer chains are capped at 16 jumps whether or not the target
+    /// name was decoded (and cached) before.
+    #[test]
+    fn cached_names_keep_the_pointer_depth_cap() {
+        fn chain(answers: u16) -> Vec<u8> {
+            let mut b = vec![0, 1, 0x80, 0, 0, 1];
+            b.extend_from_slice(&answers.to_be_bytes());
+            b.extend_from_slice(&[0, 0, 0, 0]);
+            b.extend_from_slice(&[1, b'a', 0, 0, 1, 0, 1]); // question "a"
+            let mut prev = 12u16;
+            for i in 0..answers {
+                let here = u16::try_from(b.len()).unwrap();
+                b.extend_from_slice(&(0xC000 | prev).to_be_bytes());
+                b.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 10, 0, 0]);
+                b.push(u8::try_from(i).unwrap());
+                prev = here;
+            }
+            b
+        }
+        let ok = decode_message(&chain(16)).unwrap();
+        assert!(ok.answers.iter().all(|r| r.name.to_string() == "a"));
+        assert_eq!(decode_message(&chain(17)), Err(DnsWireError::BadPointer));
     }
 
     #[test]

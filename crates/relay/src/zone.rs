@@ -62,6 +62,10 @@ pub struct MaskZone {
     extra_cc_delta: DeltaOverlay<CountryCode>,
     max_records: usize,
     seed: u64,
+    /// The two names answered, built once so matching a query is a
+    /// case-insensitive comparison, not a lower-cased copy per query.
+    mask: DomainName,
+    mask_h2: DomainName,
 }
 
 impl MaskZone {
@@ -80,6 +84,8 @@ impl MaskZone {
             extra_cc_delta: DeltaOverlay::new(),
             max_records: max_records.max(1),
             seed,
+            mask: Domain::MaskQuic.name(),
+            mask_h2: Domain::MaskH2.name(),
         }
     }
 
@@ -108,10 +114,9 @@ impl MaskZone {
     }
 
     fn domain_of(&self, name: &DomainName) -> Option<Domain> {
-        let lower = name.to_ascii_lower();
-        if lower == "mask.icloud.com" {
+        if *name == self.mask {
             Some(Domain::MaskQuic)
-        } else if lower == "mask-h2.icloud.com" {
+        } else if *name == self.mask_h2 {
             Some(Domain::MaskH2)
         } else {
             None
